@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Full local CI: build, tests, model-integrity lint, and an end-to-end
+# Full local CI: build, tests, model-integrity lint, an end-to-end
 # smoke of the resilient all_figures harness — including a negative check
 # that an injected figure failure is isolated, recorded in the manifest,
-# and turned into a nonzero exit.
+# and turned into a nonzero exit — and a perfbench smoke of the point and
+# stream kernels against their oracles.
 #
 # Usage: ./ci.sh
 set -eu
@@ -307,70 +308,25 @@ for f in "$STO_TMP"/run1/*.json; do
 done
 rm -rf "$STO_TMP"
 
-# Pick the two highest-numbered BENCH_pr<N>.json trajectory files in $1,
-# oldest first, one per line. Extracts <N> by stripping the literal
-# prefix/suffix and refuses to proceed if what remains is not a pure
-# decimal number: the old `sort -t'r' -k2 -n` hack split on the letter
-# 'r' (field 2 of BENCH_pr10.json is empty), silently falling back to
-# lexical order, so pr9 sorted after pr10 and the gate compared the
-# wrong PRs.
-pick_trend_files() {
-    _dir=$1
-    _rows=""
-    for _f in "$_dir"/BENCH_pr*.json; do
-        [ -e "$_f" ] || return 0
-        _base=$(basename "$_f")
-        _n=${_base#BENCH_pr}
-        _n=${_n%.json}
-        case "$_n" in
-            ''|*[!0-9]*)
-                echo "ci: FAIL — unparseable trajectory name '$_base' (want BENCH_pr<number>.json)" >&2
-                return 1
-                ;;
-        esac
-        _rows="$_rows$_n $_base
-"
-    done
-    printf '%s' "$_rows" | sort -n -k1,1 | tail -2 | while read -r _n _base; do
-        echo "$_dir/$_base"
-    done
-}
-
-echo "== ci: perf-trend file-picker checks (numeric order, malformed names fail)"
-TREND_TMP=$(mktemp -d)
-echo '{}' > "$TREND_TMP/BENCH_pr9.json"
-echo '{}' > "$TREND_TMP/BENCH_pr10.json"
-PICKED=$(pick_trend_files "$TREND_TMP")
-WANT="$TREND_TMP/BENCH_pr9.json
-$TREND_TMP/BENCH_pr10.json"
-if [ "$PICKED" != "$WANT" ]; then
-    echo "ci: FAIL — trend picker must order pr9 before pr10 (numeric, not lexical); got: $PICKED" >&2
-    exit 1
-fi
-echo '{}' > "$TREND_TMP/BENCH_prX.json"
-if pick_trend_files "$TREND_TMP" >/dev/null 2>&1; then
-    echo "ci: FAIL — malformed BENCH_pr name must fail the trend picker" >&2
-    exit 1
-fi
-rm -rf "$TREND_TMP"
-
-echo "== ci: perf-trend gate (latest two BENCH_*.json, watched rows via sim_bench --trend)"
-# Compare the two newest checked-in trajectory files on the watched rows
-# (join-smoke, scan-smoke): a >30 % events/sec drop fails CI. Wall-clock
-# throughput is only comparable on a multi-core host of the trajectory's
-# class; on a 1-CPU container the gate still runs but demotes a trip to a
-# loud warning (--warn-only) instead of a failure.
-TREND_FILES=$(pick_trend_files .)
-if [ "$(printf '%s\n' $TREND_FILES | wc -l)" -lt 2 ]; then
-    echo "ci: perf-trend gate skipped — need at least two BENCH_pr*.json files"
-else
-    TREND_OLD=$(printf '%s\n' $TREND_FILES | head -1)
-    TREND_NEW=$(printf '%s\n' $TREND_FILES | tail -1)
-    TREND_FLAGS=""
-    if [ "$(nproc 2>/dev/null || echo 1)" -le 1 ]; then
-        TREND_FLAGS="--warn-only"
+echo "== ci: perfbench point/stream smoke (every kernel oracle and determinism check on HEAD)"
+# Per-change speed A/B is the perfbench run declared in BENCHMARK.json;
+# this step only requires the code under review to pass its checks.
+PB_TMP=$(mktemp -d)
+for workload in point stream; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$PB_TMP/$workload.out"
+    if ! tail -1 "$PB_TMP/$workload.out" | grep -q '"failed": 0,'; then
+        echo "ci: FAIL — perfbench $workload reported failed operations:" >&2
+        tail -1 "$PB_TMP/$workload.out" >&2
+        exit 1
     fi
-    target/release/sim_bench --trend "$TREND_OLD" "$TREND_NEW" $TREND_FLAGS
+done
+rm -rf "$PB_TMP"
+
+echo "== ci: all_figures negative check (unknown option must exit nonzero)"
+if "$BIN" --no-such-flag >/dev/null 2>&1; then
+    echo "ci: FAIL — an unknown all_figures option must exit nonzero, not run the suite" >&2
+    exit 1
 fi
 
 echo "== ci: OK"

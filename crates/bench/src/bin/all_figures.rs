@@ -14,7 +14,7 @@
 //! `target/figures/manifest.json` (schema `sgx-bench-manifest/1`).
 //!
 //! Options:
-//!   `--full` / `--reps N` / `--scale N`   profile selection (as before)
+//!   `--full` / `--reps N` / `--scale N`   profile selection
 //!   `--jobs N`                            worker threads (default: all cores)
 //!   `--only id[,id...]`                   run only the named jobs
 //!   `--skip id[,id...]`                   exclude the named jobs
@@ -24,6 +24,10 @@
 //!   `--list`                              print registered job ids and exit
 //!   `--normalize-manifest FILE`           print FILE with seconds zeroed and exit
 //!                                         (for determinism byte-diffs)
+//!   `--help`                              print usage and exit
+//!
+//! Any other argument is an error (exit 1), so a mistyped flag never
+//! silently runs the whole suite.
 
 use std::process::ExitCode;
 
@@ -35,17 +39,22 @@ use sgx_bench_core::RunOpts;
 
 const MANIFEST_PATH: &str = "target/figures/manifest.json";
 
+const USAGE: &str = "usage: all_figures [--full | --reps N | --scale N] [--jobs N|max] \
+[--only id,...] [--skip id,...] [--retry-failed] [--profile] [--list] \
+[--normalize-manifest FILE] [--help]";
+
 /// Everything the harness-specific flags parse into; the remainder of
-/// argv goes to `RunOpts::parse_from` (which ignores what it does not
-/// know).
+/// argv goes to `RunOpts::parse_from`, which rejects what it does not
+/// know.
 struct HarnessArgs {
     filter: JobFilter,
     jobs: usize,
     list: bool,
+    help: bool,
     retry_failed: bool,
     profile: bool,
     normalize: Option<String>,
-    rest: Vec<String>,
+    opts: RunOpts,
 }
 
 fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessArgs, String> {
@@ -53,11 +62,13 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
         filter: JobFilter::default(),
         jobs: default_jobs(),
         list: false,
+        help: false,
         retry_failed: false,
         profile: false,
         normalize: None,
-        rest: Vec::new(),
+        opts: RunOpts::default(),
     };
+    let mut rest = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -85,11 +96,13 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
                 parsed.normalize = Some(val);
             }
             "--list" => parsed.list = true,
+            "--help" | "-h" => parsed.help = true,
             "--retry-failed" => parsed.retry_failed = true,
             "--profile" => parsed.profile = true,
-            _ => parsed.rest.push(arg),
+            _ => rest.push(arg),
         }
     }
+    parsed.opts = RunOpts::parse_from(rest)?;
     Ok(parsed)
 }
 
@@ -97,10 +110,14 @@ fn main() -> ExitCode {
     let mut args = match parse_harness_args(std::env::args().skip(1)) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
+    if args.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if let Some(path) = &args.normalize {
         // Normalization mode: reprint an existing manifest with timing
         // noise removed, for byte-identity comparisons.
@@ -152,7 +169,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let profile = RunOpts::parse_from(args.rest).profile();
+    let profile = args.opts.profile();
     eprintln!(
         "profile: {} (data 1/{}, {} reps, {} jobs)",
         profile.hw.name, profile.data_div, profile.reps, args.jobs

@@ -1,5 +1,7 @@
-//! Figure-regeneration binaries (`src/bin/figNN_*.rs`, one per paper
-//! table/figure) and Criterion benches over the operator implementations.
+//! Command-line front ends: `all_figures` regenerates every paper
+//! table and figure from the job registry (`all_figures --only <id>`
+//! runs one), `record_goldens` rewrites the golden digests, and
+//! `service_bench` drives the `sgx-serve` service model.
 //!
 //! The experiment logic itself lives in `sgx_bench_core::experiments` so
 //! the workspace integration tests can exercise the same code paths on a

@@ -1,6 +1,6 @@
 //! SVG rendering for [`Figure`]s: grouped bar charts with error bars,
 //! matching the paper's presentation. Pure-std string generation — no
-//! plotting dependency — so `cargo run -p bench --bin figNN` drops a
+//! plotting dependency — so `all_figures --only <id>` drops a
 //! ready-to-view `.svg` next to the `.json`.
 
 use crate::report::Figure;

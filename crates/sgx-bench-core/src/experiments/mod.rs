@@ -3,8 +3,8 @@
 //!
 //! Every function is parameterized by a [`BenchProfile`](crate::profiles::BenchProfile), so the same code
 //! runs the paper-exact sizes (`--full`) and the proportionally scaled
-//! default. The `bench` crate's `src/bin/figNN_*.rs` binaries are thin
-//! wrappers; the workspace integration tests run these functions on a tiny
+//! default. The job registry (`crate::runner::registry`) runs them for
+//! `all_figures`; the workspace integration tests run them on a tiny
 //! profile and assert the qualitative shapes (who wins, orderings,
 //! crossovers) hold.
 

@@ -12,7 +12,7 @@
 //!
 //! and adds the experiment plumbing: benchmark [`profiles`] (paper-exact
 //! vs proportionally scaled), repetition statistics, and the
-//! [`report::Figure`] data model each `bench/src/bin/figNN` harness emits.
+//! [`report::Figure`] data model every registry job emits.
 //!
 //! ## Quickstart
 //!
@@ -43,7 +43,6 @@ pub mod percentile;
 pub mod profiles;
 pub mod report;
 pub mod runner;
-pub mod simbench;
 
 pub use percentile::Histogram;
 pub use profiles::{BenchProfile, RunOpts};

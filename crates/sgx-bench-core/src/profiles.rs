@@ -8,7 +8,7 @@
 use sgx_sim::config::{scaled_profile, xeon_gold_6326};
 use sgx_sim::HwConfig;
 
-/// Command-line options shared by all figure binaries.
+/// Profile-selection options of the `all_figures` command line.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Run paper-exact sizes on the unscaled machine (slow).
@@ -27,36 +27,24 @@ impl Default for RunOpts {
 
 impl RunOpts {
     /// Parse `--full`, `--reps N`, `--scale N` from an argument iterator.
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> RunOpts {
+    /// Any other argument, or a missing or non-integer value, is an error.
+    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<RunOpts, String> {
         let mut opts = RunOpts::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => opts.full = true,
-                "--reps" => {
-                    opts.reps = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("error: --reps needs an integer");
-                        std::process::exit(2);
-                    });
+                "--reps" | "--scale" => {
+                    let dst = if a == "--reps" { &mut opts.reps } else { &mut opts.scale };
+                    *dst = it
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| format!("{a} needs an integer"))?;
                 }
-                "--scale" => {
-                    opts.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("error: --scale needs an integer");
-                        std::process::exit(2);
-                    });
-                }
-                "--help" | "-h" => {
-                    eprintln!("options: --full | --reps N | --scale N");
-                }
-                other => eprintln!("ignoring unknown option {other}"),
+                other => return Err(format!("unknown option {other:?}")),
             }
         }
-        opts
-    }
-
-    /// Parse from the process arguments.
-    pub fn parse() -> RunOpts {
-        RunOpts::parse_from(std::env::args().skip(1))
+        Ok(opts)
     }
 
     /// Resolve to a benchmark profile.
@@ -152,8 +140,12 @@ impl BenchProfile {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> RunOpts {
+    fn parse(s: &[&str]) -> Result<RunOpts, String> {
         RunOpts::parse_from(s.iter().map(|x| x.to_string()))
+    }
+
+    fn args(s: &[&str]) -> RunOpts {
+        parse(s).unwrap()
     }
 
     #[test]
@@ -164,6 +156,20 @@ mod tests {
         let o = args(&["--scale", "32"]);
         assert!(!o.full);
         assert_eq!(o.scale, 32);
+    }
+
+    #[test]
+    fn rejects_unknown_options() {
+        let err = parse(&["--onyl", "fig05"]).unwrap_err();
+        assert!(err.contains("--onyl"), "{err}");
+        assert!(parse(&["--help"]).is_err());
+    }
+
+    #[test]
+    fn rejects_missing_or_bad_values() {
+        assert_eq!(parse(&["--reps"]).unwrap_err(), "--reps needs an integer");
+        assert_eq!(parse(&["--scale"]).unwrap_err(), "--scale needs an integer");
+        assert_eq!(parse(&["--scale", "x"]).unwrap_err(), "--scale needs an integer");
     }
 
     #[test]

@@ -170,17 +170,6 @@ impl BPlusTree {
             leaf += 1;
         }
     }
-
-    /// Uncharged verification lookup (reference behaviour for tests).
-    pub fn get_uncharged(&self, key: u32) -> Option<u32> {
-        self.leaves
-            // sgx-lint: allow(untracked-access) uncharged verification lookup, never inside a timed region
-            .as_slice_untracked()
-            .iter()
-            .take(self.n_rows)
-            .find(|r| r.key == key)
-            .map(|r| r.payload)
-    }
 }
 
 #[cfg(test)]

@@ -158,11 +158,6 @@ impl Machine {
         self.wall
     }
 
-    /// Wall time in seconds at the configured clock frequency.
-    pub fn wall_secs(&self) -> f64 {
-        self.cfg.cycles_to_secs(self.wall)
-    }
-
     /// Reset the wall clock (e.g. after untimed setup).
     pub fn reset_wall(&mut self) {
         self.wall = 0.0;
