@@ -2,8 +2,9 @@
 # Full local CI: build, tests, model-integrity lint, an end-to-end
 # smoke of the resilient all_figures harness — including a negative check
 # that an injected figure failure is isolated, recorded in the manifest,
-# and turned into a nonzero exit — and a perfbench smoke of the point and
-# stream kernels against their oracles.
+# and turned into a nonzero exit — clippy over sgx-sim, and a perfbench
+# smoke of the point and stream kernels against their oracles and their
+# pinned simulated counts.
 #
 # Usage: ./ci.sh
 set -eu
@@ -17,6 +18,9 @@ cargo test -q
 
 echo "== ci: lint"
 ./lint.sh
+
+echo "== ci: clippy (sgx-sim, warnings are errors)"
+cargo clippy --offline -p sgx-sim --all-targets -- -D warnings
 
 echo "== ci: lint corpus self-check"
 ./lint.sh --score-corpus crates/sgx-lint/corpus >/dev/null
@@ -308,19 +312,30 @@ for f in "$STO_TMP"/run1/*.json; do
 done
 rm -rf "$STO_TMP"
 
-echo "== ci: perfbench point/stream smoke (every kernel oracle and determinism check on HEAD)"
+echo "== ci: perfbench point/stream smoke (every kernel oracle and determinism check on HEAD, simulated counts pinned)"
 # Per-change speed A/B is the perfbench run declared in BENCHMARK.json;
-# this step only requires the code under review to pass its checks.
+# this step only requires the code under review to pass its checks and to
+# simulate exactly the sim.* counts in tests/goldens/perfbench_sim_counts.txt
+# (reported by traced rounds, hence --trace 1).
 PB_TMP=$(mktemp -d)
 for workload in point stream; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$PB_TMP/$workload.out"
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 > "$PB_TMP/$workload.out"
     if ! tail -1 "$PB_TMP/$workload.out" | grep -q '"failed": 0,'; then
         echo "ci: FAIL — perfbench $workload reported failed operations:" >&2
         tail -1 "$PB_TMP/$workload.out" >&2
         exit 1
     fi
+    tail -1 "$PB_TMP/$workload.out" \
+        | grep -o '"sim\.[a-z_0-9]*": {"value": [^,]*, "unit": "count"}' \
+        | sed "s/^\"\(sim\.[a-z_0-9]*\)\": {\"value\": \([^,]*\),.*/$workload \1 \2/" >> "$PB_TMP/counts.txt"
 done
+grep -v '^#' tests/goldens/perfbench_sim_counts.txt > "$PB_TMP/want.txt"
+if ! cmp -s "$PB_TMP/want.txt" "$PB_TMP/counts.txt"; then
+    echo "ci: FAIL — perfbench simulated counts differ from tests/goldens/perfbench_sim_counts.txt:" >&2
+    diff "$PB_TMP/want.txt" "$PB_TMP/counts.txt" >&2 || true
+    exit 1
+fi
 rm -rf "$PB_TMP"
 
 echo "== ci: all_figures negative check (unknown option must exit nonzero)"

@@ -36,8 +36,8 @@ use std::path::PathBuf;
 /// deliberately marker- and pragma-bearing (charge-module with an
 /// allow(charge-escape) waiver; des-module): they prove the transforms
 /// keep marker/pragma adjacency intact. `cache.rs` and `fastdiv.rs`
-/// cover the hot-path rewrite's packed-metadata cache and the
-/// Lemire-style fastmod helper. Kept deliberately short — the full
+/// cover the hot path's recency-ordered cache sets and the Lemire-style
+/// fastmod helper. Kept deliberately short — the full
 /// workspace sweep is a manual `sgx-lint selfcheck crates/...` away.
 pub const DEFAULT_FILES: [&str; 8] = [
     "crates/sgx-serve/src/counters.rs",

@@ -3,40 +3,48 @@
 //!
 //! The simulator keeps an inclusive three-level hierarchy (private L1d and
 //! L2 per core, shared L3 per socket). Only tags are stored — data lives in
-//! the `SimVec` backing buffers — so a cache access is a handful of array
-//! probes.
+//! the `SimVec` backing buffers — so a cache access is a short scan of one
+//! set.
 //!
-//! # Hot-path layout
+//! # Recency-ordered sets
 //!
-//! All replacement metadata lives in one `u64` blob, one fixed-stride
-//! block per set: `[tags; ways][lru; ways][dirty bitmask]`, padded to a
-//! 64-byte multiple. A probe scans the dense tag run; a victim scan reads
-//! the adjacent LRU run — the whole set is a handful of *contiguous* host
-//! cache lines, which matters because the L3 model's metadata is far
-//! larger than the host L1/L2 and random probes into three scattered
-//! parallel arrays cost three distant host misses each. Set selection is
-//! a mask when the set count is a power of two (every shipped profile),
-//! with a plain `%` fallback so arbitrary `scaled()` factors stay exact.
+//! Each set is one run of `ways` `u64` entries kept in recency order: the
+//! most recently used line first, invalid entries ([`INVALID`]) at the
+//! tail. An entry is the line address with the dirty flag in bit 63, so a
+//! set is `ways` contiguous words and holds all of its replacement state —
+//! there are no LRU stamps, no dirty bitmask and no victim scan:
 //!
-//! # Victim selection invariant
+//! * a hit moves its entry to the front;
+//! * a miss insert shifts the run back by one and places the new line
+//!   first; the entry shifted out of the last way is the victim (an
+//!   [`INVALID`] one when the set still had room);
+//! * [`Cache::invalidate`] closes the gap and appends an invalid entry.
 //!
-//! Invalid ways keep `lru == 0` and valid ways always have `lru >= 1`
-//! (the stamp pre-increments from 0), so the historical selection rule —
-//! tag match > first invalid way > first minimal-LRU valid way — reduces
-//! to *first strict minimum of the LRU run*: every invalid way ties at 0
-//! ahead of any valid way, and valid stamps are unique. That makes the
-//! victim scan a branchless running minimum, with no per-way invalid
-//! test. [`Cache::flush`] and [`Cache::invalidate`] re-zero the LRU word
-//! when they clear a tag to uphold the invariant. The selection and the
-//! stamp sequence are bit-identical to the historical three-pass
-//! implementation, which the golden digests and the property tests in
-//! `tests/proptest_cache.rs` pin down.
+//! The evictions are exactly those of the historical stamp model
+//! (tag match > first invalid way > least recently stamped valid way):
+//! stamps were unique and grew with every touch, so the least recently
+//! stamped line is the last valid entry of the run. The golden digests
+//! and the lockstep tests in `tests/proptest_cache.rs`, which replay the
+//! stamp model as the oracle, pin that down. Set selection is a mask when
+//! the set count is a power of two (every shipped profile), with a plain
+//! `%` fallback so arbitrary `scaled()` factors stay exact.
 
 use crate::config::{CacheConfig, CACHE_LINE};
 
-/// Tag value marking an invalid way. Real tags are line addresses, which
-/// stay far below `2^40` (region bases top out at `9 << 40` bytes).
+/// Entry marking an invalid way. Real entries are line addresses, which
+/// stay far below `2^40` (region bases top out at `9 << 40` bytes), with at
+/// most bit 63 set on top; so no real entry equals `INVALID`, and
+/// `INVALID` with its dirty bit cleared matches no line.
 const INVALID: u64 = u64::MAX;
+
+/// Dirty flag of an entry.
+const DIRTY: u64 = 1 << 63;
+
+/// [`DIRTY`] when `dirty`, else 0.
+#[inline]
+fn dirty_flag(dirty: bool) -> u64 {
+    (dirty as u64) << 63
+}
 
 /// One cache level.
 #[derive(Debug)]
@@ -46,12 +54,8 @@ pub struct Cache {
     /// `sets - 1` when `sets` is a power of two, else `usize::MAX` to
     /// select the modulo fallback in [`Cache::set_of`].
     set_mask: usize,
-    /// Words per set block: `2 * ways + 1` rounded up to a multiple of 8,
-    /// so blocks stay 64-byte aligned relative to the blob start.
-    stride: usize,
-    /// Per-set metadata blocks: `[tags; ways][lru; ways][dirty mask]`.
-    meta: Vec<u64>,
-    stamp: u64,
+    /// Per-set recency runs of `ways` entries, most recent first.
+    entries: Vec<u64>,
 }
 
 /// What happened to a line evicted by an insert.
@@ -65,19 +69,52 @@ pub enum Evicted {
     Dirty(u64),
 }
 
+/// Position of `line` in a recency run. Invalid entries match no line, so
+/// the scan needs no validity test.
+#[inline]
+fn position(set: &[u64], line: u64) -> Option<usize> {
+    set.iter().position(|&e| e & !DIRTY == line)
+}
+
+/// Move entry `i` to the front of the run, OR-ing in `dirty`.
+///
+/// The runs are short (12-20 ways), and an element loop shifts them
+/// faster than `copy_within`'s `memmove` call (`point` A/B, 8 of 10 pairs).
+#[inline]
+fn promote(set: &mut [u64], i: usize, dirty: bool) {
+    let entry = set[i] | dirty_flag(dirty);
+    for j in (0..i).rev() {
+        set[j + 1] = set[j];
+    }
+    set[0] = entry;
+}
+
+/// Place `line` at the front of a run that does not hold it, shifting the
+/// rest back by one; the entry shifted out of the last way is the victim.
+#[inline]
+fn push_front(set: &mut [u64], line: u64, dirty: bool) -> Evicted {
+    let last = set.len() - 1;
+    let victim = set[last];
+    for j in (0..last).rev() {
+        set[j + 1] = set[j];
+    }
+    set[0] = line | dirty_flag(dirty);
+    if victim == INVALID {
+        Evicted::None
+    } else if victim & DIRTY != 0 {
+        Evicted::Dirty(victim & !DIRTY)
+    } else {
+        Evicted::Clean(victim)
+    }
+}
+
 impl Cache {
     /// Build a cache level from its configuration.
     pub fn new(cfg: &CacheConfig) -> Cache {
         let sets = cfg.sets();
         let ways = cfg.ways;
         let set_mask = if sets.is_power_of_two() { sets - 1 } else { usize::MAX };
-        assert!(ways <= 64, "dirty bitmask holds at most 64 ways");
-        let stride = (2 * ways + 1).next_multiple_of(8);
-        let mut meta = vec![0u64; sets * stride];
-        for set in 0..sets {
-            meta[set * stride..set * stride + ways].fill(INVALID);
-        }
-        Cache { ways, sets, set_mask, stride, meta, stamp: 0 }
+        Cache { ways, sets, set_mask, entries: vec![INVALID; sets * ways] }
     }
 
     #[inline]
@@ -89,131 +126,81 @@ impl Cache {
         }
     }
 
-    /// Offset of the set block holding `line`.
+    /// The recency run of the set holding `line`.
     #[inline]
-    fn base_of(&self, line: u64) -> usize {
-        self.set_of(line) * self.stride
+    fn set(&self, line: u64) -> &[u64] {
+        let base = self.set_of(line) * self.ways;
+        &self.entries[base..base + self.ways]
     }
 
-    /// Probe for `line`; on hit, refresh LRU and optionally mark dirty.
+    /// Mutable recency run of the set holding `line`.
+    #[inline]
+    fn set_mut(&mut self, line: u64) -> &mut [u64] {
+        let base = self.set_of(line) * self.ways;
+        &mut self.entries[base..base + self.ways]
+    }
+
+    /// Probe for `line`; on hit, make it most recent and optionally mark
+    /// it dirty.
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> bool {
-        let base = self.base_of(line);
-        self.stamp += 1;
-        let tags = &self.meta[base..base + self.ways];
-        for (i, &t) in tags.iter().enumerate() {
-            if t == line {
-                self.meta[base + self.ways + i] = self.stamp;
-                self.meta[base + 2 * self.ways] |= (write as u64) << i;
-                return true;
+        let set = self.set_mut(line);
+        match position(set, line) {
+            Some(i) => {
+                promote(set, i, write);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Probe without updating replacement state (used by tests/inspection).
     pub fn contains(&self, line: u64) -> bool {
-        let base = self.base_of(line);
-        self.meta[base..base + self.ways].contains(&line)
+        position(self.set(line), line).is_some()
     }
 
-    /// First strict minimum of the set's LRU run — the victim the
-    /// historical match > invalid > min-LRU selection would pick (see the
-    /// module docs for why the zero-LRU invariant collapses the three
-    /// rules into one branchless scan).
-    #[inline]
-    fn victim_way(&self, base: usize) -> usize {
-        let lru = &self.meta[base + self.ways..base + 2 * self.ways];
-        let mut vi = 0;
-        let mut vl = lru[0];
-        for (i, &l) in lru.iter().enumerate().skip(1) {
-            if l < vl {
-                vl = l;
-                vi = i;
-            }
-        }
-        vi
-    }
-
-    /// Fill `way` of the set at `base` with `line`, returning what it
-    /// displaced.
-    #[inline]
-    fn place(&mut self, base: usize, way: usize, line: u64, dirty: bool) -> Evicted {
-        let old = self.meta[base + way];
-        let mask = self.meta[base + 2 * self.ways];
-        let evicted = if old == INVALID {
-            Evicted::None
-        } else if mask & (1 << way) != 0 {
-            Evicted::Dirty(old)
-        } else {
-            Evicted::Clean(old)
-        };
-        self.meta[base + way] = line;
-        self.meta[base + self.ways + way] = self.stamp;
-        self.meta[base + 2 * self.ways] = (mask & !(1 << way)) | ((dirty as u64) << way);
-        evicted
-    }
-
-    /// Insert `line` (after a miss), evicting the LRU way if the set is
-    /// full. Returns what was displaced.
+    /// Insert `line` (after a miss), evicting the least recently used line
+    /// if the set is full. Returns what was displaced.
     ///
-    /// Reuses the line's own way if it is somehow present already (spilled
-    /// victims can race their own earlier copies), else places at
-    /// [`Cache::victim_way`].
+    /// Refreshes the line in place if it is somehow present already
+    /// (spilled victims can race their own earlier copies).
     #[inline]
     pub fn insert(&mut self, line: u64, dirty: bool) -> Evicted {
-        let base = self.base_of(line);
-        self.stamp += 1;
-        let tags = &self.meta[base..base + self.ways];
-        for (i, &t) in tags.iter().enumerate() {
-            if t == line {
-                self.meta[base + self.ways + i] = self.stamp;
-                self.meta[base + 2 * self.ways] |= (dirty as u64) << i;
-                return Evicted::None;
-            }
+        if self.access(line, dirty) {
+            Evicted::None
+        } else {
+            push_front(self.set_mut(line), line, dirty)
         }
-        let way = self.victim_way(base);
-        self.place(base, way, line, dirty)
     }
 
     /// [`Cache::insert`] for a line the caller has just probed and missed,
-    /// with no intervening operations on this cache: the tag-match rescan
-    /// is skipped (the line cannot be present). Stamp sequence and victim
-    /// choice are identical to `insert`.
+    /// with no intervening operations on this cache: the line cannot be
+    /// present, so the probe is skipped. The eviction is identical to
+    /// `insert`'s.
     #[inline]
     pub fn insert_miss(&mut self, line: u64, dirty: bool) -> Evicted {
         debug_assert!(!self.contains(line), "insert_miss caller guarantees absence");
-        let base = self.base_of(line);
-        self.stamp += 1;
-        let way = self.victim_way(base);
-        self.place(base, way, line, dirty)
+        push_front(self.set_mut(line), line, dirty)
     }
 
     /// Remove a line if present, reporting whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let base = self.base_of(line);
-        for i in 0..self.ways {
-            if self.meta[base + i] == line {
-                self.meta[base + i] = INVALID;
-                // Uphold the victim-selection invariant: invalid ways keep
-                // a zero LRU word.
-                self.meta[base + self.ways + i] = 0;
-                return self.meta[base + 2 * self.ways] & (1 << i) != 0;
-            }
+        let set = self.set_mut(line);
+        let Some(i) = position(set, line) else {
+            return false;
+        };
+        let entry = set[i];
+        let last = set.len() - 1;
+        for j in i..last {
+            set[j] = set[j + 1];
         }
-        false
+        set[last] = INVALID;
+        entry & DIRTY != 0
     }
 
     /// Number of currently valid lines (test helper).
     pub fn occupancy(&self) -> usize {
-        (0..self.sets)
-            .map(|s| {
-                self.meta[s * self.stride..s * self.stride + self.ways]
-                    .iter()
-                    .filter(|&&t| t != INVALID)
-                    .count()
-            })
-            .sum()
+        self.entries.iter().filter(|&&e| e != INVALID).count()
     }
 
     /// Maximum number of lines the cache can hold.
@@ -223,10 +210,7 @@ impl Cache {
 
     /// Drop all contents (used between experiment repetitions).
     pub fn flush(&mut self) {
-        self.meta.fill(0);
-        for set in 0..self.sets {
-            self.meta[set * self.stride..set * self.stride + self.ways].fill(INVALID);
-        }
+        self.entries.fill(INVALID);
     }
 }
 /// Per-core stream-prefetcher model: tracks up to `SLOTS` independent

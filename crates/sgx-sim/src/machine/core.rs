@@ -216,8 +216,8 @@ impl Machine {
             core.windex = w;
             f(&mut core);
             core_cycles.push(core.cycles);
-            for s in 0..sockets {
-                dram_bytes[s] += core.dram_bytes[s];
+            for (acc, bytes) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
+                *acc += bytes;
             }
             upi_bytes += core.upi_bytes;
             faults += core.faults;
@@ -249,13 +249,10 @@ impl Machine {
         let mut faults = 0u64;
         let mut edmm_pages = 0u64;
         let cfg = self.cfg.clone();
-        loop {
-            let Some(w) = (0..cores.len())
-                .filter(|&w| live[w])
-                .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
-            else {
-                break;
-            };
+        while let Some(w) = (0..cores.len())
+            .filter(|&w| live[w])
+            .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
+        {
             let mode = self.mode;
             let (t, task) = queue.dequeue(clocks[w], mode, &cfg, &mut self.counters);
             clocks[w] = t;
@@ -267,8 +264,8 @@ impl Machine {
                     f(&mut core, task);
                     // sgx-lint: allow(charge-escape) worker-merge: folding per-core cycles already committed through `Core::commit` into the shared clock array
                     clocks[w] += core.cycles;
-                    for s in 0..sockets {
-                        dram_bytes[s] += core.dram_bytes[s];
+                    for (acc, bytes) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
+                        *acc += bytes;
                     }
                     upi_bytes += core.upi_bytes;
                     faults += core.faults;

@@ -396,7 +396,7 @@ impl<'m> Core<'m> {
         // `line` just missed, and the only same-cache op in between — the
         // L3 insert of the L2's dirty victim — inserts a *different* line,
         // so `line` is still absent from both and the rescan-free insert
-        // applies (the victim scan itself is recomputed at call time).
+        // applies (the victim is read off the set at call time).
         let hw = &mut self.m.cores[self.id];
         if let Evicted::Dirty(v) = hw.l2.insert_miss(line, dirty) {
             if let Evicted::Dirty(v2) = self.m.l3[self.socket].insert(v, true) {

@@ -496,7 +496,8 @@ fn stream_workload_state(mut m: Machine, oracle: bool) -> (String, u64) {
 /// page-fault charges mid-run.
 #[test]
 fn stream_fast_path_matches_per_line_oracle() {
-    let variants: Vec<(&str, Box<dyn Fn() -> Machine>)> = vec![
+    type Build = Box<dyn Fn() -> Machine>;
+    let variants: Vec<(&str, Build)> = vec![
         ("native", Box::new(|| machine(Setting::PlainCpu))),
         ("epc", Box::new(|| machine(Setting::SgxDataInEnclave))),
         ("sealed", Box::new(|| {

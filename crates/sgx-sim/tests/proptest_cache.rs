@@ -1,19 +1,24 @@
-//! Randomized property tests for the packed cache model (`cache.rs`).
+//! Randomized lockstep tests for the recency-ordered cache model
+//! (`cache.rs`).
 //!
-//! The hot-path rewrite packed all replacement metadata into one blob and
-//! collapsed the historical victim selection (tag match > first invalid
-//! way > first minimal-LRU valid way) into a single branchless
-//! first-strict-minimum scan over the LRU run. These tests pin the claim
-//! that nothing observable changed: a naive reference model implementing
-//! the *historical* three-pass selection with scattered parallel arrays
-//! is driven through hundreds of thousands of randomized operations in
-//! lockstep with the packed `Cache`, and every return value — hits,
-//! evictions and their dirtiness, invalidation reports, occupancy — must
-//! agree at every step. Dependency-free: randomness comes from a seeded
-//! LCG, so every run replays the same operation streams.
+//! `Cache` keeps each set as one run of entries in recency order (most
+//! recent first, invalid entries at the tail, the dirty flag in bit 63 of
+//! each entry) and picks the victim as the last entry of the run. The
+//! oracle here is the historical stamp model, written out naively:
+//! parallel `tags`/`lru`/`dirty` arrays, a stamp bumped on every probe and
+//! insert, and the literal three-pass victim selection (tag match > first
+//! invalid way > first minimal-stamp valid way). Both are driven through
+//! randomized operation streams in lockstep, and every return value —
+//! hits, evictions and their dirtiness, invalidation reports, occupancy —
+//! must agree at every step. The geometries cover contended toy sets, the
+//! shipped hot geometries (golden and /16-scaled L1/L2/L3), non-power-of-
+//! two set counts, direct-mapped and wider-than-64-way sets, and line
+//! addresses near the top region, where the dirty bit and the invalid
+//! sentinel share a word with the line. Dependency-free: randomness comes
+//! from a seeded LCG, so every run replays the same operation streams.
 
 use sgx_sim::cache::{Cache, Evicted, StreamDetector};
-use sgx_sim::config::{CacheConfig, CACHE_LINE};
+use sgx_sim::config::{xeon_gold_6326, CacheConfig, CACHE_LINE};
 
 /// Deterministic LCG (same constants as `sgx_microbench::random_write`).
 fn lcg(x: &mut u64) -> u64 {
@@ -101,8 +106,9 @@ impl RefCache {
                 self.tags[i] = None;
                 // The historical model did NOT reset the stale LRU word —
                 // invalid ways were excluded by pass 2 instead. Keeping it
-                // stale here is the point: the packed cache must agree
-                // anyway, proving its zero-LRU invariant is equivalent.
+                // stale here is the point: the recency-ordered cache, which
+                // closes the gap and moves an invalid entry to the tail,
+                // must agree anyway.
                 return std::mem::replace(&mut self.dirty[i], false);
             }
         }
@@ -121,20 +127,40 @@ impl RefCache {
     }
 }
 
-/// Drive the packed cache and the reference model through one randomized
-/// operation stream, asserting observable agreement at every step.
-fn lockstep(cfg: &CacheConfig, seed: u64, ops: usize, line_space: u64, allow_insert_miss: bool) {
-    let mut packed = Cache::new(cfg);
+/// One randomized operation stream for [`lockstep`].
+struct Stream {
+    seed: u64,
+    ops: usize,
+    /// Lines are drawn from `base..base + line_space`.
+    base: u64,
+    line_space: u64,
+    /// A drawn flush happens with probability `1 / flush_one_in` (else it
+    /// is a `contains` probe), so large caches can fill between flushes.
+    flush_one_in: u64,
+}
+
+impl Stream {
+    fn new(seed: u64, ops: usize, line_space: u64) -> Stream {
+        Stream { seed, ops, base: 0, line_space, flush_one_in: 1 }
+    }
+}
+
+/// Drive the recency-ordered cache and the reference model through one
+/// randomized operation stream, asserting observable agreement at every
+/// step.
+fn lockstep(cfg: &CacheConfig, st: &Stream) {
+    let seed = st.seed;
+    let mut cache = Cache::new(cfg);
     let mut model = RefCache::new(cfg);
     let mut x = seed | 1;
-    for op in 0..ops {
-        let line = lcg(&mut x) % line_space;
-        let dirty = lcg(&mut x) % 2 == 0;
+    for op in 0..st.ops {
+        let line = st.base + lcg(&mut x) % st.line_space;
+        let dirty = lcg(&mut x).is_multiple_of(2);
         match lcg(&mut x) % 100 {
             // Probes dominate, like the real resolve path.
             0..=44 => {
                 assert_eq!(
-                    packed.access(line, dirty),
+                    cache.access(line, dirty),
                     model.access(line, dirty),
                     "op {op}: access({line}, write={dirty}) diverged (seed {seed})"
                 );
@@ -143,36 +169,38 @@ fn lockstep(cfg: &CacheConfig, seed: u64, ops: usize, line_space: u64, allow_ins
                 // insert_miss is insert with the caller-proven-absent
                 // shortcut; exercising it against the reference's full
                 // insert IS the equivalence claim from the module docs.
-                let miss = allow_insert_miss && !packed.contains(line) && lcg(&mut x) % 2 == 0;
-                let got =
-                    if miss { packed.insert_miss(line, dirty) } else { packed.insert(line, dirty) };
+                let miss = !cache.contains(line) && lcg(&mut x).is_multiple_of(2);
+                let got = if miss { cache.insert_miss(line, dirty) } else { cache.insert(line, dirty) };
                 let want = model.insert(line, dirty);
                 assert_eq!(got, want, "op {op}: insert({line}, dirty={dirty}) diverged (seed {seed}, miss-path {miss})");
             }
             85..=94 => {
                 assert_eq!(
-                    packed.invalidate(line),
+                    cache.invalidate(line),
                     model.invalidate(line),
                     "op {op}: invalidate({line}) diverged (seed {seed})"
                 );
             }
             95..=97 => {
-                assert_eq!(packed.contains(line), model.contains(line), "op {op}: contains({line}) diverged (seed {seed})");
+                assert_eq!(cache.contains(line), model.contains(line), "op {op}: contains({line}) diverged (seed {seed})");
+            }
+            _ if st.flush_one_in > 1 && !lcg(&mut x).is_multiple_of(st.flush_one_in) => {
+                assert_eq!(cache.contains(line), model.contains(line), "op {op}: contains({line}) diverged (seed {seed})");
             }
             _ => {
-                packed.flush();
+                cache.flush();
                 model.flush();
             }
         }
         if op % 64 == 0 {
-            assert_eq!(packed.occupancy(), model.occupancy(), "op {op}: occupancy diverged (seed {seed})");
+            assert_eq!(cache.occupancy(), model.occupancy(), "op {op}: occupancy diverged (seed {seed})");
         }
     }
     // Final state sweep: membership must agree line-for-line.
-    for line in 0..line_space {
-        assert_eq!(packed.contains(line), model.contains(line), "final contains({line}) diverged (seed {seed})");
+    for line in st.base..st.base + st.line_space {
+        assert_eq!(cache.contains(line), model.contains(line), "final contains({line}) diverged (seed {seed})");
     }
-    assert_eq!(packed.occupancy(), model.occupancy(), "final occupancy diverged (seed {seed})");
+    assert_eq!(cache.occupancy(), model.occupancy(), "final occupancy diverged (seed {seed})");
 }
 
 /// Small geometry with heavy set contention: every victim-selection path
@@ -181,7 +209,7 @@ fn lockstep(cfg: &CacheConfig, seed: u64, ops: usize, line_space: u64, allow_ins
 fn packed_cache_matches_three_pass_reference_small() {
     let cfg = CacheConfig { size: 4 * 4 * CACHE_LINE, ways: 4, latency: 1.0 };
     for seed in [1, 0xBEEF, 0xC0FFEE, 0x5EED5EED] {
-        lockstep(&cfg, seed, 40_000, 64, true);
+        lockstep(&cfg, &Stream::new(seed, 40_000, 64));
     }
 }
 
@@ -189,17 +217,51 @@ fn packed_cache_matches_three_pass_reference_small() {
 #[test]
 fn packed_cache_matches_three_pass_reference_pow2() {
     let cfg = CacheConfig { size: 64 * 20 * CACHE_LINE, ways: 20, latency: 1.0 };
-    lockstep(&cfg, 0xDEAD_BEEF, 60_000, 64 * 20 * 3, true);
+    lockstep(&cfg, &Stream::new(0xDEAD_BEEF, 60_000, 64 * 20 * 3));
 }
 
 /// Non-power-of-two set count (modulo fallback, e.g. odd `scaled()`
-/// factors) and a ways=1 degenerate geometry.
+/// factors), a ways=1 degenerate geometry, and sets wider than 64 ways.
 #[test]
 fn packed_cache_matches_three_pass_reference_odd_geometries() {
     let odd = CacheConfig { size: 3 * 5 * CACHE_LINE, ways: 5, latency: 1.0 };
-    lockstep(&odd, 7, 40_000, 48, true);
+    lockstep(&odd, &Stream::new(7, 40_000, 48));
     let direct = CacheConfig { size: 8 * CACHE_LINE, ways: 1, latency: 1.0 };
-    lockstep(&direct, 11, 20_000, 32, true);
+    lockstep(&direct, &Stream::new(11, 20_000, 32));
+    let wide = CacheConfig { size: 2 * 80 * CACHE_LINE, ways: 80, latency: 1.0 };
+    lockstep(&wide, &Stream::new(13, 40_000, 2 * 80 * 3 / 2));
+}
+
+/// The geometries the figures and the benchmark run on: the golden
+/// profile's L1 (1 set x 12 ways), L2 (2 x 20) and L3 (64 x 12), and the
+/// /16-scaled L3 (2048 x 12). Line spaces are ~1.5x capacity so sets fill
+/// and evict; the large L3 flushes rarely so it can fill at all.
+#[test]
+fn packed_cache_matches_three_pass_reference_shipped_geometries() {
+    let golden = xeon_gold_6326().scaled(512);
+    let scaled = xeon_gold_6326().scaled(16);
+    for (cfg, ops, flush_one_in) in [
+        (&golden.l1d, 40_000, 1),
+        (&golden.l2, 40_000, 1),
+        (&golden.l3, 60_000, 8),
+        (&scaled.l3, 200_000, 1_000),
+    ] {
+        let capacity = (cfg.sets() * cfg.ways) as u64;
+        let st = Stream { flush_one_in, ..Stream::new(0x5E7 ^ capacity, ops, capacity * 3 / 2) };
+        lockstep(cfg, &st);
+    }
+}
+
+/// Line addresses near the top region (`9 << 40` bytes = line `9 << 34`):
+/// the entry stores the dirty flag in bit 63 beside the line, and the
+/// invalid sentinel is all ones; neither may alias a real line there.
+#[test]
+fn packed_cache_matches_three_pass_reference_top_region() {
+    let top = 9u64 << 34;
+    let small = CacheConfig { size: 4 * 4 * CACHE_LINE, ways: 4, latency: 1.0 };
+    lockstep(&small, &Stream { base: top, ..Stream::new(0x709, 40_000, 64) });
+    let l3 = xeon_gold_6326().scaled(512).l3;
+    lockstep(&l3, &Stream { base: top - 64 * 6, flush_one_in: 8, ..Stream::new(0x70A, 60_000, 64 * 12 * 3 / 2) });
 }
 
 /// LRU ordering: after touching a full set in a known order, inserts must
@@ -252,7 +314,7 @@ fn dirty_bits_propagate_through_eviction_cascades() {
     let mut writebacks = 0u32;
     for op in 0..60_000 {
         let line = lcg(&mut x) % 96;
-        let write = lcg(&mut x) % 3 == 0;
+        let write = lcg(&mut x).is_multiple_of(3);
         let hit = l1.access(line, write);
         assert_eq!(hit, r1.access(line, write), "op {op}: L1 hit state diverged");
         if !hit {
