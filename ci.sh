@@ -2,7 +2,7 @@
 # Full local CI: build, tests, model-integrity lint, an end-to-end
 # smoke of the resilient all_figures harness — including a negative check
 # that an injected figure failure is isolated, recorded in the manifest,
-# and turned into a nonzero exit — clippy over sgx-sim, and a perfbench
+# and turned into a nonzero exit — clippy over the workspace, and a perfbench
 # smoke of the point and stream kernels against their oracles and their
 # pinned simulated counts.
 #
@@ -19,11 +19,8 @@ cargo test -q
 echo "== ci: lint"
 ./lint.sh
 
-echo "== ci: clippy (sgx-sim, warnings are errors)"
-cargo clippy --offline -p sgx-sim --all-targets -- -D warnings
-
-echo "== ci: lint corpus self-check"
-./lint.sh --score-corpus crates/sgx-lint/corpus >/dev/null
+echo "== ci: clippy (whole workspace, warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 LINT=target/release/sgx-lint
 LINT_TMP=$(mktemp -d)
@@ -97,7 +94,10 @@ rm -rf "$LINT_TMP"
 RD_TMP=$(mktemp -d)
 RD_FLOOR=95
 
-echo "== ci: lint robustness RD gate (floor $RD_FLOOR, byte-identical across runs and --jobs)"
+# The robustness run is also the corpus score: it exits 1 when any base
+# verdict is wrong (a positive case that does not fire, a negative case
+# with findings), whatever the floor.
+echo "== ci: lint robustness RD gate (every base verdict correct, floor $RD_FLOOR, byte-identical across runs and --jobs, pinned report)"
 "$LINT" robustness --floor "$RD_FLOOR" --format json > "$RD_TMP/rd1.json"
 "$LINT" robustness --floor "$RD_FLOOR" --format json > "$RD_TMP/rd2.json"
 "$LINT" robustness --floor "$RD_FLOOR" --format json --jobs 4 > "$RD_TMP/rd4.json"
@@ -107,6 +107,11 @@ if ! cmp -s "$RD_TMP/rd1.json" "$RD_TMP/rd2.json"; then
 fi
 if ! cmp -s "$RD_TMP/rd1.json" "$RD_TMP/rd4.json"; then
     echo "ci: FAIL — robustness report must be byte-identical across --jobs" >&2
+    exit 1
+fi
+if ! cmp -s "$RD_TMP/rd1.json" tests/goldens/lint_robustness.json; then
+    echo "ci: FAIL — robustness report differs from tests/goldens/lint_robustness.json:" >&2
+    diff tests/goldens/lint_robustness.json "$RD_TMP/rd1.json" >&2 || true
     exit 1
 fi
 for rule in charge-escape des-invariant; do
@@ -135,11 +140,16 @@ rm -rf "$RD_TMP"
 
 SC_TMP=$(mktemp -d)
 
-echo "== ci: lint selfcheck (variant fuzz over pinned clean workspace files, byte-identical)"
+echo "== ci: lint selfcheck (variant fuzz over pinned clean workspace files, byte-identical, pinned report)"
 "$LINT" selfcheck --format json > "$SC_TMP/sc1.json"
 "$LINT" selfcheck --format json > "$SC_TMP/sc2.json"
 if ! cmp -s "$SC_TMP/sc1.json" "$SC_TMP/sc2.json"; then
     echo "ci: FAIL — selfcheck report must be byte-identical across runs" >&2
+    exit 1
+fi
+if ! cmp -s "$SC_TMP/sc1.json" tests/goldens/lint_selfcheck.json; then
+    echo "ci: FAIL — selfcheck report differs from tests/goldens/lint_selfcheck.json:" >&2
+    diff tests/goldens/lint_selfcheck.json "$SC_TMP/sc1.json" >&2 || true
     exit 1
 fi
 if ! grep -q '"false_positives": \[\]' "$SC_TMP/sc1.json"; then

@@ -30,7 +30,7 @@ const PROFILE_PALETTE: [&str; 9] = [
 /// input (an all-NaN or overflowed series) degrades to the 1.0 default so
 /// the axis math downstream never divides by NaN/Inf.
 fn nice_ceil(v: f64) -> f64 {
-    if !(v > 0.0) || !v.is_finite() {
+    if !v.is_finite() || v <= 0.0 {
         return 1.0;
     }
     let mag = 10f64.powf(v.log10().floor());

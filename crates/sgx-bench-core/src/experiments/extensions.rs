@@ -154,8 +154,8 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
                     let mut cursor_vecs: Vec<SimVec<u32>> =
                         (0..threads).map(|_| m.alloc(fanout)).collect();
                     for (w, cv) in cursor_vecs.iter_mut().enumerate() {
-                        for g in 0..fanout {
-                            cv.poke(g, worker_offsets[w][g] as u32);
+                        for (g, &off) in worker_offsets[w].iter().enumerate().take(fanout) {
+                            cv.poke(g, off as u32);
                         }
                     }
                     let before = m.wall_cycles();

@@ -1,6 +1,6 @@
 //! Golden digests for refactor-equivalence proofs.
 //!
-//! The layered-machine refactor (DESIGN.md §10) must not change the cost
+//! The layered-machine refactor (DESIGN.md §9) must not change the cost
 //! model by a single bit. To prove that, the harness records one digest
 //! per figure job from the *pre-refactor* tree — over the exact JSON
 //! bytes of every emitted figure, the job's counter report, and the

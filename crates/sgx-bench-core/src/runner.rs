@@ -185,7 +185,7 @@ pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunCon
             // Generous stacks: experiments were sized for the main thread.
             let spawned = std::thread::Builder::new()
                 .stack_size(16 << 20)
-                .spawn_scoped(s, || drain());
+                .spawn_scoped(s, drain);
             match spawned {
                 Ok(h) => handles.push(h),
                 // The calling thread still drains the whole queue below,

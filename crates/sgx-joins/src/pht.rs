@@ -177,8 +177,7 @@ pub fn pht_join(
                     fill = 0;
                 }
             });
-            for bi in 0..fill {
-                let (srow, h) = batch[bi];
+            for &(srow, h) in &batch[..fill] {
                 let first = heads.get(c, h as usize);
                 walk(c, first, srow);
             }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! sgx-lint [--format text|json] [--baseline file.json] [paths...]
-//! sgx-lint --score-corpus <dir>         score the labeled corpus
 //! sgx-lint robustness [flags]           RD-score corpus + variants
+//! sgx-lint selfcheck [flags] [files...] variant fuzz of clean files
 //! ```
 //!
 //! The default scan root is `crates`. `--format json` emits a deterministic
@@ -13,17 +13,20 @@
 //! baseline entry that no longer matches anything is itself reported (rule
 //! `stale-baseline`) so the waiver list cannot rot.
 //!
-//! The `robustness` subcommand generates semantics-preserving variants of
-//! every corpus case ([`crate::variants`]) and reports rapx-bench-style
-//! robust-detection scores ([`crate::robustness`]). It deliberately
-//! rejects `--baseline` (exit 2): variants are corpus-only and a stale
-//! workspace waiver must never mask an RD regression.
+//! Both subcommands run the one evaluation driver ([`crate::robustness`]):
+//! it generates semantics-preserving variants of every case
+//! ([`crate::variants`]) and scores base and variant verdicts.
+//! `robustness` feeds it the labeled corpus and reports rapx-bench-style
+//! robust-detection scores; it deliberately rejects `--baseline` (exit 2)
+//! so a stale workspace waiver can never mask an RD regression.
+//! `selfcheck` feeds it pinned clean workspace files and reports every
+//! variant finding as a rule false positive ([`crate::selfcheck`]).
 //!
-//! Exit code 0 = clean (or corpus at 100% TP / 0 FP, or RD at/above
-//! `--floor`), 1 = findings (or corpus misses, or RD below the floor),
-//! 2 = usage error.
+//! Exit code 0 = clean (or every corpus base verdict correct and RD
+//! at/above `--floor`, or no selfcheck false positive), 1 = findings (or a
+//! wrong corpus base verdict, RD below the floor, or a selfcheck false
+//! positive), 2 = usage error.
 
-use crate::corpus;
 use crate::engine::Finding;
 use crate::robustness;
 use sgx_bench_core::json::Value;
@@ -34,6 +37,21 @@ use std::process::ExitCode;
 enum Format {
     Text,
     Json,
+}
+
+/// Parse the value of a `--format` flag.
+fn parse_format(value: Option<String>) -> Result<Format, ExitCode> {
+    match value.as_deref() {
+        Some("json") => Ok(Format::Json),
+        Some("text") => Ok(Format::Text),
+        other => {
+            eprintln!(
+                "sgx-lint: --format needs `text` or `json`, got {}",
+                other.map_or_else(|| "nothing".to_string(), |o| format!("`{o}`"))
+            );
+            Err(ExitCode::from(2))
+        }
+    }
 }
 
 /// One waiver from the `--baseline` file, matched on (path, rule, line).
@@ -48,7 +66,6 @@ struct BaselineEntry {
 pub fn run(args: impl Iterator<Item = String>) -> ExitCode {
     let mut format = Format::Text;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut corpus_dir: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = args.peekable();
     if args.peek().map(String::as_str) == Some("robustness") {
@@ -61,18 +78,9 @@ pub fn run(args: impl Iterator<Item = String>) -> ExitCode {
     }
     while let Some(a) = args.next() {
         match a.as_str() {
-            // Legacy spelling of `--format json`.
-            "--json" => format = Format::Json,
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                other => {
-                    eprintln!(
-                        "sgx-lint: --format needs `text` or `json`, got {}",
-                        other.map_or_else(|| "nothing".to_string(), |o| format!("`{o}`"))
-                    );
-                    return ExitCode::from(2);
-                }
+            "--format" => match parse_format(args.next()) {
+                Ok(f) => format = f,
+                Err(c) => return c,
             },
             "--baseline" => match args.next() {
                 Some(p) => baseline_path = Some(PathBuf::from(p)),
@@ -81,16 +89,9 @@ pub fn run(args: impl Iterator<Item = String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--score-corpus" => match args.next() {
-                Some(dir) => corpus_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("sgx-lint: --score-corpus needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
-                    "usage: sgx-lint [--format text|json] [--baseline file.json] [paths...]\n       sgx-lint --score-corpus <dir>\n       sgx-lint robustness [flags]   (see `sgx-lint robustness --help`)\n\nLints workspace Rust sources for model-integrity violations.\nPer-file rules: untracked-access, nondeterminism, counter-truncation,\npanic-in-library, unsafe-code, swallowed-error.\nWorkspace rules: untracked-slice-taint, counter-conservation,\nfault-tick-coverage, calibration-provenance, charge-escape,\ndes-invariant.\nDefault scan root: crates"
+                    "usage: sgx-lint [--format text|json] [--baseline file.json] [paths...]\n       sgx-lint robustness [flags]   (see `sgx-lint robustness --help`)\n       sgx-lint selfcheck [flags]    (see `sgx-lint selfcheck --help`)\n\nLints workspace Rust sources for model-integrity violations.\nPer-file rules: untracked-access, nondeterminism, counter-truncation,\npanic-in-library, unsafe-code, swallowed-error.\nWorkspace rules: untracked-slice-taint, counter-conservation,\nfault-tick-coverage, calibration-provenance, charge-escape,\ndes-invariant.\nDefault scan root: crates"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -100,18 +101,6 @@ pub fn run(args: impl Iterator<Item = String>) -> ExitCode {
             }
             path => paths.push(PathBuf::from(path)),
         }
-    }
-
-    if let Some(dir) = corpus_dir {
-        let score = match corpus::score(&dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("sgx-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        print!("{}", score.table());
-        return if score.perfect() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
     if paths.is_empty() {
@@ -195,37 +184,21 @@ pub fn run(args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// The `selfcheck` subcommand: run the variant generator over pinned
-/// *clean* workspace files as a self-consistency fuzz. Any finding on a
-/// variant of a clean file is a rule false positive by construction.
-/// See [`crate::selfcheck`].
+/// The `selfcheck` subcommand: the evaluation driver over pinned *clean*
+/// workspace files. Any finding on a variant of a clean file is a rule
+/// false positive by construction. See [`crate::selfcheck`].
 fn run_selfcheck(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -> ExitCode {
-    let mut opts = crate::selfcheck::Options::default();
     let mut format = Format::Text;
     let mut files: Vec<PathBuf> = Vec::new();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.seed = n,
-                None => {
-                    eprintln!("sgx-lint: --seed needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                other => {
-                    eprintln!(
-                        "sgx-lint: --format needs `text` or `json`, got {}",
-                        other.map_or_else(|| "nothing".to_string(), |o| format!("`{o}`"))
-                    );
-                    return ExitCode::from(2);
-                }
+            "--format" => match parse_format(args.next()) {
+                Ok(f) => format = f,
+                Err(c) => return c,
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: sgx-lint selfcheck [--seed N] [--format text|json] [files...]\n\nRuns the robustness variant generator over pinned clean workspace files.\nEvery transform is semantics-preserving and keeps marker/pragma line\nadjacency, so a finding on any variant is a rule false positive: exit 1\n(marker-bearing files are in scope). Files that are not clean solo are\nusage errors: exit 2.\nDefault file set:\n{}",
+                    "usage: sgx-lint selfcheck [--format text|json] [files...]\n\nRuns the robustness variant generator over pinned clean workspace files.\nEvery transform is semantics-preserving and keeps marker/pragma line\nadjacency, so a finding on any variant is a rule false positive: exit 1\n(marker-bearing files are in scope). Files that are not clean solo are\nusage errors: exit 2.\nDefault file set:\n{}",
                     crate::selfcheck::DEFAULT_FILES
                         .iter()
                         .map(|f| format!("  {f}"))
@@ -244,22 +217,20 @@ fn run_selfcheck(mut args: std::iter::Peekable<impl Iterator<Item = String>>) ->
     if files.is_empty() {
         files = crate::selfcheck::DEFAULT_FILES.iter().map(PathBuf::from).collect();
     }
-    let report = match crate::selfcheck::run(&files, &opts) {
+    let report = match robustness::load_pinned(&files)
+        .and_then(|cases| robustness::run(&cases, &robustness::Options::default()))
+    {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("sgx-lint: {e}");
+            eprintln!("sgx-lint: selfcheck: {e}");
             return ExitCode::from(2);
         }
     };
     match format {
-        Format::Json => println!("{}", report.json().pretty()),
-        Format::Text => print!("{}", report.table()),
+        Format::Json => println!("{}", crate::selfcheck::json(&report).pretty()),
+        Format::Text => print!("{}", crate::selfcheck::table(&report)),
     }
-    if report.false_positives.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::from(crate::selfcheck::exit_code(&report))
 }
 
 /// The `robustness` subcommand: RD-score the corpus plus generated
@@ -283,18 +254,6 @@ fn run_robustness(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -
                     eprintln!("sgx-lint: --corpus needs a directory");
                     return ExitCode::from(2);
                 }
-            },
-            "--seed" => match parse_num("--seed", args.next()) {
-                Ok(n) => opts.seed = n,
-                Err(c) => return c,
-            },
-            "--depth" => match parse_num("--depth", args.next()) {
-                Ok(n) => opts.depth = n,
-                Err(c) => return c,
-            },
-            "--seqlen" => match parse_num("--seqlen", args.next()) {
-                Ok(n) => opts.seqlen = n,
-                Err(c) => return c,
             },
             "--jobs" => match parse_num("--jobs", args.next()) {
                 Ok(n) => opts.jobs = n,
@@ -320,16 +279,9 @@ fn run_robustness(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -
                     return ExitCode::from(2);
                 }
             },
-            "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                other => {
-                    eprintln!(
-                        "sgx-lint: --format needs `text` or `json`, got {}",
-                        other.map_or_else(|| "nothing".to_string(), |o| format!("`{o}`"))
-                    );
-                    return ExitCode::from(2);
-                }
+            "--format" => match parse_format(args.next()) {
+                Ok(f) => format = f,
+                Err(c) => return c,
             },
             // Workspace waivers must never leak into RD scoring: a stale
             // baseline entry could silently absorb a variant regression.
@@ -341,7 +293,7 @@ fn run_robustness(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: sgx-lint robustness [--corpus DIR] [--seed N] [--depth N] [--seqlen N]\n                           [--jobs N] [--floor PCT] [--weaken KNOB[,KNOB]]\n                           [--emit-variants DIR] [--format text|json]\n\nGenerates seeded semantics-preserving variants of every corpus case and\nreports rapx-bench-style robust-detection (RD) per rule and per transform.\nExit 1 when --floor is set and total RD falls below it.\nKnown --weaken knobs: taint-indirection (cap taint walk depth),\ntaint-alias (disable alias resolution in taint and conservation).\n--emit-variants writes one directory per variant: {{case}}__{{label}}/<file>."
+                    "usage: sgx-lint robustness [--corpus DIR] [--jobs N] [--floor PCT]\n                           [--weaken KNOB[,KNOB]] [--emit-variants DIR]\n                           [--format text|json]\n\nGenerates seeded semantics-preserving variants of every corpus case and\nreports rapx-bench-style robust-detection (RD) per rule and per transform.\nExit 1 when any base verdict is wrong (a positive case that does not fire,\na negative case with findings) or when --floor is set and total RD falls\nbelow it.\nKnown --weaken knobs: taint-indirection (cap taint walk depth),\ntaint-alias (disable alias resolution in taint and conservation).\n--emit-variants writes one directory per variant: {{case}}__{{label}}/<file>."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -351,7 +303,9 @@ fn run_robustness(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -
             }
         }
     }
-    let report = match robustness::run(&corpus_dir, &opts) {
+    let report = match robustness::load_corpus(&corpus_dir)
+        .and_then(|cases| robustness::run(&cases, &opts))
+    {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sgx-lint: {e}");
@@ -362,13 +316,20 @@ fn run_robustness(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -
         Format::Json => println!("{}", report.json().pretty()),
         Format::Text => print!("{}", report.table()),
     }
+    let mut code = ExitCode::SUCCESS;
+    let misses = report.base_misses();
+    if !misses.is_empty() {
+        let (n, names) = (misses.len(), misses.join(", "));
+        eprintln!("sgx-lint: wrong base verdict on {n} case(s): {names}");
+        code = ExitCode::FAILURE;
+    }
     if let Some(f) = floor {
         if report.rd_percent() < f {
             eprintln!("sgx-lint: RD {}% below floor {f}%", report.rd_percent());
-            return ExitCode::FAILURE;
+            code = ExitCode::FAILURE;
         }
     }
-    ExitCode::SUCCESS
+    code
 }
 
 /// Build the deterministic JSON report document.
@@ -453,7 +414,8 @@ mod tests {
     fn json_report_is_byte_identical_across_runs() {
         let src = "fn f(v: &T) { let s = v.as_slice_untracked(); let _ = s[0]; }\n";
         let render = || {
-            let report = crate::analyze_single("lib.rs", FileClass::OperatorLib, src);
+            let entry = (PathBuf::from("lib.rs"), FileClass::OperatorLib, src.to_string());
+            let (_, report) = crate::analyze_set(vec![entry], &Default::default()).remove(0);
             report_value(&report.findings, 1, report.suppressed, 0).pretty()
         };
         let a = render();

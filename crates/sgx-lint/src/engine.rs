@@ -291,7 +291,7 @@ pub(crate) fn counter_ish(ident: &str) -> bool {
 
 /// Analyze one file's source with the token-level rules. `path` is only
 /// used for labeling findings. Semantic rules are NOT run here — use
-/// [`crate::analyze_single`] or [`crate::analyze_paths`] for the full
+/// [`crate::analyze_set`] or [`crate::analyze_paths`] for the full
 /// pass.
 pub fn analyze_source(path: &str, class: FileClass, src: &str) -> FileReport {
     analyze_lexed(path, class, &tokenize(src))
@@ -396,10 +396,10 @@ pub fn analyze_lexed(path: &str, class: FileClass, lexed: &Lexed) -> FileReport 
                     hit(&mut raw, t.line, "panic-in-library", format!("`.{}()` can panic in library code — propagate a Result or document the invariant with an allow-marker", t.text));
                 }
             }
-            "panic" | "todo" | "unimplemented" if panic_applies => {
-                if toks.get(i + 1).is_some_and(|n| p(n, b'!')) {
-                    hit(&mut raw, t.line, "panic-in-library", format!("`{}!` aborts the simulation from library code — return an error or document why it is unreachable", t.text));
-                }
+            "panic" | "todo" | "unimplemented"
+                if panic_applies && toks.get(i + 1).is_some_and(|n| p(n, b'!')) =>
+            {
+                hit(&mut raw, t.line, "panic-in-library", format!("`{}!` aborts the simulation from library code — return an error or document why it is unreachable", t.text));
             }
             // --- swallowed-error (library code only) ---
             // Pattern A: `let _ = <fallible call>(...);` discards a Result.

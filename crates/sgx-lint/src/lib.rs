@@ -39,12 +39,16 @@
 //! ```
 //!
 //! Run as `cargo run -p sgx-lint -- [--format text|json] [--baseline
-//! file.json] [paths...]` (default scan root: `crates`), or score the
-//! bundled corpus with
-//! `cargo run -p sgx-lint -- --score-corpus crates/sgx-lint/corpus`.
+//! file.json] [paths...]` (default scan root: `crates`).
 //! `--format json` renders through `sgx_bench_core::json` and is
 //! byte-identical across runs; `--baseline` applies a checked-in waiver
 //! file and reports stale entries as `stale-baseline` findings.
+//!
+//! The lint checks itself through one evaluation driver, [`robustness`].
+//! Its two input sets — the labeled corpus (`sgx-lint robustness`) and
+//! pinned clean workspace files (`sgx-lint selfcheck`, rendered by
+//! [`selfcheck`]) — are cases of one type, scored with the same variant
+//! plan, the same verdict and the same [`analyze_set`] entry point.
 //!
 //! Deliberately out of scope: `SimVec::peek`/`poke`. Those are the
 //! documented single-element *setup* accessors (data generation,
@@ -57,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod corpus;
 pub mod dataflow;
 pub mod engine;
 pub mod graph;
@@ -149,48 +152,21 @@ pub fn analyze_paths(roots: &[PathBuf]) -> Vec<(PathBuf, FileReport)> {
     }
     entries.sort_by(|a, b| a.0.cmp(&b.0));
     entries.dedup_by(|a, b| a.0 == b.0);
-    let ws = graph::Workspace::build(entries);
-    finish(ws)
+    analyze_set(entries, &semantic::Config::default())
 }
 
-/// Full analysis (token + semantic) of one in-memory file — the corpus
-/// scorer's entry point. The single file forms its own workspace, so the
-/// semantic rules run in their single-crate fallback modes.
-pub fn analyze_single(label: &str, class: FileClass, src: &str) -> FileReport {
-    analyze_single_cfg(label, class, src, &semantic::Config::default())
-}
-
-/// [`analyze_single`] under an explicit semantic [`semantic::Config`] —
-/// the robustness scorer's entry point (its `--weaken` knobs need to run
-/// the whole corpus under a deliberately degraded rule set).
-pub fn analyze_single_cfg(
-    label: &str,
-    class: FileClass,
-    src: &str,
-    cfg: &semantic::Config,
-) -> FileReport {
-    let ws = graph::Workspace::build(vec![(PathBuf::from(label), class, src.to_string())]);
-    finish_cfg(ws, cfg).pop().map(|(_, r)| r).unwrap_or_default()
-}
-
-/// Full analysis of a set of in-memory files forming one workspace — the
-/// robustness scorer's entry point for *multi-file variant workspaces*
-/// (a cross-file variant splits one corpus case over several files; the
-/// verdict must see them together). Reports come back in input order.
-pub fn analyze_set_cfg(
+/// Full analysis (token + semantic) of a set of in-memory files forming
+/// one workspace, under an explicit semantic [`semantic::Config`] — the
+/// entry point of [`analyze_paths`] and of the evaluation driver
+/// ([`robustness`]), whose variant workspaces are one file or the parts of
+/// a cross-file split, and whose `--weaken` knobs need a deliberately
+/// degraded rule set. A one-file set runs the semantic rules in their
+/// single-crate fallback modes. Reports come back in input order.
+pub fn analyze_set(
     entries: Vec<(PathBuf, FileClass, String)>,
     cfg: &semantic::Config,
 ) -> Vec<(PathBuf, FileReport)> {
     let ws = graph::Workspace::build(entries);
-    finish_cfg(ws, cfg)
-}
-
-/// Run both passes over a built workspace and merge per-file reports.
-fn finish(ws: graph::Workspace) -> Vec<(PathBuf, FileReport)> {
-    finish_cfg(ws, &semantic::Config::default())
-}
-
-fn finish_cfg(ws: graph::Workspace, cfg: &semantic::Config) -> Vec<(PathBuf, FileReport)> {
     let mut reports: Vec<(PathBuf, FileReport)> = ws
         .files
         .iter()

@@ -1,4 +1,4 @@
-//! CLI entry point: `cargo run -p sgx-lint -- [--json] [paths...]`.
+//! CLI entry point: `cargo run -p sgx-lint -- [--format text|json] [paths...]`.
 
 use std::process::ExitCode;
 

@@ -1,14 +1,26 @@
-//! rapx-bench-style *robust detection* (RD) scoring: run every rule over
-//! the labeled corpus **and** auto-generated semantics-preserving
-//! variants of each case ([`crate::variants`]), and report how much of
-//! the base-case accuracy survives mutation.
+//! The lint's one evaluation driver: rapx-bench-style *robust detection*
+//! (RD) scoring of labeled cases **and** of auto-generated
+//! semantics-preserving variants of each case ([`crate::variants`]).
+//!
+//! ## Cases
+//!
+//! A [`Case`] is one source file with an expectation:
+//! [`Expect::Fires`] (the named rule must report) or [`Expect::Silent`]
+//! (no rule may report). Two loaders produce them:
+//!
+//! * [`load_corpus`] — the labeled corpus, `<dir>/positive/<rule>_<n>.rs`
+//!   (`Fires(rule)`) and `<dir>/negative/<rule>_<n>.rs` (`Silent`), all
+//!   analyzed as operator-crate library code so every rule is in scope;
+//! * [`load_pinned`] — clean workspace files, all `Silent`, classed by
+//!   [`crate::classify`]. Every transform is semantics-preserving, so a
+//!   finding on a variant of a clean file is a rule false positive by
+//!   construction; [`crate::selfcheck`] renders that view.
 //!
 //! ## Scoring model
 //!
-//! Every base case gets a verdict exactly as in [`crate::corpus`]: a
-//! positive case is correct when its labeled rule fires, a negative case
-//! when *no* rule fires. Each case is then mutated by every applicable
-//! transform kind; a kind's variants form one *group*:
+//! Every case gets a base verdict: a `Fires` case is correct when its rule
+//! reports, a `Silent` case when *no* rule does. Each case is then mutated
+//! by every applicable transform kind; a kind's variants form one *group*:
 //!
 //! * **absolute** — every variant in the group keeps the correct verdict;
 //! * **partial**  — some do, some don't;
@@ -16,38 +28,64 @@
 //!
 //! A case is **robust** when its base verdict is correct *and* every
 //! applicable group is absolute. `RD% = robust / bases` per rule and in
-//! total — the headline number the CI gate enforces a floor on.
-//! Transforms that don't apply to a case (nothing to wrap, fewer than
-//! three items to reorder, …) contribute no group and don't dilute RD.
+//! total — the headline number the CI gate enforces a floor on. The base
+//! columns alone (TP/FN/TN/FP) are the corpus score: a wrong base verdict
+//! fails the `robustness` subcommand whatever the floor. Transforms that
+//! don't apply to a case (nothing to wrap, fewer than three items to
+//! reorder, …) contribute no group and don't dilute RD.
 //!
 //! ## Determinism
 //!
-//! Each case's variant stream is seeded with
-//! `mix(global_seed, fnv1a(case_name))`, so generation is a pure function
-//! of `(seed, case)` — independent of corpus iteration order and of
-//! `--jobs`. Workers return results keyed by case index and the report is
-//! assembled in index order, so the rendered table and JSON are
-//! byte-identical across runs and thread counts. Workspace baselines
-//! (`--baseline`) are deliberately rejected: variants are corpus-only and
-//! a stale waiver file must never mask an RD regression.
+//! Each case's variant stream is seeded with `mix(SEED, fnv1a(name))`, so
+//! generation is a pure function of the case — independent of iteration
+//! order and of `--jobs`. Workers return results keyed by case index and
+//! the report is assembled in index order, so the rendered table and JSON
+//! are byte-identical across runs and thread counts. Workspace baselines
+//! (`--baseline`) are deliberately rejected: a stale waiver file must never
+//! mask an RD regression.
 
-use crate::engine::{FileClass, RULES};
+use crate::engine::{FileClass, Finding, RULES};
 use crate::semantic::Config;
 use crate::variants::{self, fnv1a, mix, Transform};
 use sgx_bench_core::json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Scorer options, straight from the CLI flags.
+/// Global seed of every case's variant stream.
+pub const SEED: u64 = 42;
+/// Maximum wrapper indirection depth (`wrap[d1]..wrap[dN]`).
+pub const DEPTH: usize = 2;
+/// Maximum `let`-chain length (`seqlen[n2]..seqlen[nN]`).
+pub const SEQLEN: usize = 3;
+
+/// What the analysis of a case must report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Expect {
+    /// At least one finding of this rule.
+    Fires(String),
+    /// No finding of any rule.
+    Silent,
+}
+
+/// One input of the driver.
 #[derive(Debug, Clone)]
+pub struct Case {
+    /// Label of the case's findings and key of its variant seed: the
+    /// corpus-relative name (`positive/unsafe-code_1.rs`) or the path of a
+    /// pinned workspace file.
+    pub name: String,
+    /// How the engine treats the file (decides which rules apply).
+    pub class: FileClass,
+    /// The verdict the analysis must reach.
+    pub expect: Expect,
+    /// Source text.
+    pub src: String,
+}
+
+/// Scorer options, straight from the CLI flags.
+#[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Global seed for variant generation.
-    pub seed: u64,
-    /// Maximum wrapper indirection depth (`wrap[d1]..wrap[dN]`).
-    pub depth: usize,
-    /// Maximum `let`-chain length (`seqlen[n2]..seqlen[nN]`).
-    pub seqlen: usize,
-    /// Worker threads (1 = serial; output is identical either way).
+    /// Worker threads (0 or 1 = serial; output is identical either way).
     pub jobs: usize,
     /// Rule defenses to disable ([`weaken_config`]) — the CI negative
     /// check proves RD collapses without them.
@@ -55,19 +93,6 @@ pub struct Options {
     /// When set, write every generated variant into this directory
     /// (debugging and corpus promotion).
     pub emit_dir: Option<PathBuf>,
-}
-
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            seed: 42,
-            depth: 2,
-            seqlen: 3,
-            jobs: 1,
-            weaken: Vec::new(),
-            emit_dir: None,
-        }
-    }
 }
 
 /// Translate `--weaken` knob names into a semantic [`Config`].
@@ -94,6 +119,8 @@ pub struct VariantOutcome {
     pub label: String,
     /// Did the case keep the correct verdict under this variant?
     pub ok: bool,
+    /// Every finding on a `Silent` case (empty for `Fires`).
+    pub noise: Vec<Finding>,
 }
 
 /// One transform kind's variants over one case.
@@ -118,20 +145,16 @@ impl GroupOutcome {
     }
 }
 
-/// One base case, fully scored.
+/// One case, fully scored.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
-    /// Corpus-relative name, e.g. `positive/untracked-slice-taint_1.rs`.
+    /// The case's name.
     pub name: String,
-    /// Labeled rule.
-    pub rule: String,
-    /// Positive (must fire) or negative (must stay silent).
-    pub positive: bool,
+    /// The case's expectation.
+    pub expect: Expect,
     /// Base verdict correct?
     pub base_ok: bool,
-    /// Rules that fired on a negative base case (FP attribution).
-    pub base_noise: Vec<String>,
-    /// Applicable transform groups.
+    /// Applicable transform groups, in plan order.
     pub groups: Vec<GroupOutcome>,
 }
 
@@ -139,6 +162,16 @@ impl CaseOutcome {
     /// Base correct and every group absolute.
     pub fn robust(&self) -> bool {
         self.base_ok && self.groups.iter().all(GroupOutcome::absolute)
+    }
+
+    /// The rule whose table row this case counts in: the expected rule,
+    /// or for a `Silent` case the `<rule>_<n>.rs` label of its file name
+    /// (none for a pinned workspace file).
+    pub fn rule(&self) -> Option<String> {
+        match &self.expect {
+            Expect::Fires(rule) => Some(rule.clone()),
+            Expect::Silent => labeled_rule(Path::new(&self.name)),
+        }
     }
 }
 
@@ -184,9 +217,9 @@ fn round1(x: f64) -> f64 {
 /// The full RD report.
 #[derive(Debug)]
 pub struct Report {
-    /// Options echoed for provenance.
-    pub options: Options,
-    /// Every case in deterministic corpus order.
+    /// `--weaken` knobs echoed for provenance.
+    pub weaken: Vec<String>,
+    /// Every case in input order.
     pub cases: Vec<CaseOutcome>,
 }
 
@@ -198,18 +231,14 @@ impl Report {
             rows.insert(rule.to_string(), RuleRd::default());
         }
         for case in &self.cases {
-            let row = rows.entry(case.rule.clone()).or_default();
+            let Some(rule) = case.rule() else { continue };
+            let row = rows.entry(rule).or_default();
             row.bases += 1;
-            if case.positive {
-                if case.base_ok {
-                    row.tp += 1;
-                } else {
-                    row.fn_ += 1;
-                }
-            } else if case.base_ok {
-                row.tn += 1;
-            } else {
-                row.fp += 1;
+            match (&case.expect, case.base_ok) {
+                (Expect::Fires(_), true) => row.tp += 1,
+                (Expect::Fires(_), false) => row.fn_ += 1,
+                (Expect::Silent, true) => row.tn += 1,
+                (Expect::Silent, false) => row.fp += 1,
             }
             row.groups += case.groups.len();
             for g in &case.groups {
@@ -256,6 +285,11 @@ impl Report {
         round1(robust as f64 * 100.0 / self.cases.len() as f64)
     }
 
+    /// Names of the cases whose base verdict is wrong.
+    pub fn base_misses(&self) -> Vec<&str> {
+        self.cases.iter().filter(|c| !c.base_ok).map(|c| c.name.as_str()).collect()
+    }
+
     /// Every `(case, variant label)` that flipped the verdict, plus base
     /// misses as `(case, "base")`.
     pub fn failures(&self) -> Vec<(String, String)> {
@@ -278,14 +312,11 @@ impl Report {
     /// Aligned text table, rapx-style.
     pub fn table(&self) -> String {
         let mut out = String::new();
-        let weaken = if self.options.weaken.is_empty() {
-            "(none)".to_string()
-        } else {
-            self.options.weaken.join(",")
-        };
+        let weaken =
+            if self.weaken.is_empty() { "(none)".to_string() } else { self.weaken.join(",") };
         out.push_str(&format!(
-            "sgx-lint robustness — seed {}, wrap depth {}, seqlen {}, weaken {}\n",
-            self.options.seed, self.options.depth, self.options.seqlen, weaken
+            "sgx-lint robustness — seed {SEED}, wrap depth {DEPTH}, seqlen {SEQLEN}, \
+             weaken {weaken}\n"
         ));
         out.push_str(&format!(
             "{:<24} {:>5} {:>4} {:>4} {:>4} {:>4} {:>5} {:>5} {:>5} {:>5} {:>7} {:>6}\n",
@@ -403,14 +434,12 @@ impl Report {
             (
                 "params".into(),
                 Value::Obj(vec![
-                    ("seed".into(), Value::Num(self.options.seed as f64)),
-                    ("depth".into(), Value::Num(self.options.depth as f64)),
-                    ("seqlen".into(), Value::Num(self.options.seqlen as f64)),
+                    ("seed".into(), Value::Num(SEED as f64)),
+                    ("depth".into(), Value::Num(DEPTH as f64)),
+                    ("seqlen".into(), Value::Num(SEQLEN as f64)),
                     (
                         "weaken".into(),
-                        Value::Arr(
-                            self.options.weaken.iter().map(|w| Value::Str(w.clone())).collect(),
-                        ),
+                        Value::Arr(self.weaken.iter().map(|w| Value::Str(w.clone())).collect()),
                     ),
                     ("kinds".into(), Value::Num(variants::KINDS.len() as f64)),
                 ]),
@@ -424,19 +453,99 @@ impl Report {
     }
 }
 
+/// Extract the labeled rule from a corpus filename like
+/// `nondeterminism_2.rs`.
+fn labeled_rule(file: &Path) -> Option<String> {
+    let stem = file.file_stem()?.to_str()?;
+    let (rule, _n) = stem.rsplit_once('_')?;
+    RULES.contains(&rule).then(|| rule.to_string())
+}
+
+/// Load the labeled corpus at `dir`, which must contain `positive/` and
+/// `negative/` subdirectories of `<rule>_<n>.rs` cases.
+pub fn load_corpus(dir: &Path) -> Result<Vec<Case>, String> {
+    let mut out = Vec::new();
+    for (side, positive) in [("positive", true), ("negative", false)] {
+        let side_dir = dir.join(side);
+        let files = crate::collect_rust_files(&side_dir);
+        if files.is_empty() {
+            return Err(format!("no corpus cases under {}", side_dir.display()));
+        }
+        for file in files {
+            let Some(rule) = labeled_rule(&file) else {
+                return Err(format!("corpus file {} is not named <rule>_<n>.rs", file.display()));
+            };
+            let src = std::fs::read_to_string(&file)
+                .map_err(|e| format!("read {}: {e}", file.display()))?;
+            let fname = file.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+            out.push(Case {
+                name: format!("{side}/{fname}"),
+                class: FileClass::OperatorLib,
+                expect: if positive { Expect::Fires(rule) } else { Expect::Silent },
+                src,
+            });
+        }
+    }
+    Ok(out)
+}
+
+/// Load pinned workspace files as `Silent` cases. `Err` means a
+/// precondition failed — no files, a missing file, a file that is not
+/// clean under solo analysis, or one no transform applies to: a
+/// configuration error, not a rule false positive. Marker-bearing files
+/// are fair game, because every transform keeps marker/pragma line
+/// adjacency.
+pub fn load_pinned(files: &[PathBuf]) -> Result<Vec<Case>, String> {
+    if files.is_empty() {
+        return Err("no files given".to_string());
+    }
+    let cfg = Config::default();
+    files
+        .iter()
+        .map(|path| {
+            let src = std::fs::read_to_string(path)
+                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            let case = Case {
+                name: path.to_string_lossy().into_owned(),
+                class: crate::classify(path),
+                expect: Expect::Silent,
+                src,
+            };
+            let (_, noise) = verdict(&case, &[(String::new(), case.src.clone())], &cfg);
+            if let Some(first) = noise.first() {
+                return Err(format!(
+                    "{} is not clean under solo analysis ([{}] line {}: {}) — pin a clean file",
+                    case.name, first.rule, first.line, first.message
+                ));
+            }
+            if !plan(case_seed(&case)).iter().any(|t| variants::apply_ws(&case.src, t).is_some()) {
+                return Err(format!(
+                    "no transform applies to {} — pin a file with renameable items",
+                    case.name
+                ));
+            }
+            Ok(case)
+        })
+        .collect()
+}
+
+fn case_seed(case: &Case) -> u64 {
+    mix(SEED, fnv1a(&case.name))
+}
+
 /// The full variant plan for one case seed: every transform instance the
 /// scorer will attempt, in deterministic order (grouped by kind).
-fn plan(case_seed: u64, opts: &Options) -> Vec<Transform> {
+fn plan(case_seed: u64) -> Vec<Transform> {
     let mut out = vec![
         Transform::Rename { seed: mix(case_seed, 11) },
         Transform::Rename { seed: mix(case_seed, 12) },
         Transform::Reorder { seed: mix(case_seed, 21) },
         Transform::Reorder { seed: mix(case_seed, 22) },
     ];
-    for d in 1..=opts.depth {
+    for d in 1..=DEPTH {
         out.push(Transform::Wrap { depth: d });
     }
-    for n in 2..=opts.seqlen {
+    for n in 2..=SEQLEN {
         out.push(Transform::Seqlen { chain: n });
     }
     out.push(Transform::Nest { depth: 1 });
@@ -453,86 +562,39 @@ fn plan(case_seed: u64, opts: &Options) -> Vec<Transform> {
     out
 }
 
-/// Verdict for one source text under this case's label: `(correct,
-/// noise-rules-fired)` — noise only populated for negative cases.
-fn verdict(name: &str, rule: &str, positive: bool, src: &str, cfg: &Config) -> (bool, Vec<String>) {
-    let report = crate::analyze_single_cfg(name, FileClass::OperatorLib, src, cfg);
-    if positive {
-        (report.findings.iter().any(|f| f.rule == rule), Vec::new())
-    } else {
-        let noise: Vec<String> = report.findings.iter().map(|f| f.rule.clone()).collect();
-        (noise.is_empty(), noise)
-    }
-}
-
-/// Verdict for a multi-file variant workspace. A one-file workspace takes
-/// the exact single-file path above (same label, same analysis entry
-/// point), so pre-existing variants score byte-identically; cross-file
-/// variants ([`variants::apply_ws`]) build one [`crate::analyze_set_cfg`]
-/// workspace so set-scoped rules see every part together.
-fn verdict_ws(
-    case_name: &str,
-    rule: &str,
-    positive: bool,
-    files: &[(String, String)],
-    cfg: &Config,
-) -> (bool, Vec<String>) {
-    if let [(_, src)] = files {
-        return verdict(case_name, rule, positive, src, cfg);
-    }
-    let stem = case_name.trim_end_matches(".rs");
-    let entries: Vec<(PathBuf, FileClass, String)> = files
-        .iter()
-        .map(|(fname, src)| {
-            (PathBuf::from(format!("{stem}/{fname}")), FileClass::OperatorLib, src.clone())
-        })
-        .collect();
-    let reports = crate::analyze_set_cfg(entries, cfg);
-    if positive {
-        (reports.iter().any(|(_, r)| r.findings.iter().any(|f| f.rule == rule)), Vec::new())
-    } else {
-        let noise: Vec<String> = reports
-            .iter()
-            .flat_map(|(_, r)| r.findings.iter().map(|f| f.rule.clone()))
-            .collect();
-        (noise.is_empty(), noise)
-    }
-}
-
-/// One loaded case, pre-scoring.
-struct CaseInput {
-    name: String,
-    rule: String,
-    positive: bool,
-    src: String,
-}
-
-fn load_cases(dir: &Path) -> Result<Vec<CaseInput>, String> {
-    let mut out = Vec::new();
-    for (side, positive) in [("positive", true), ("negative", false)] {
-        let side_dir = dir.join(side);
-        let files = crate::collect_rust_files(&side_dir);
-        if files.is_empty() {
-            return Err(format!("no corpus cases under {}", side_dir.display()));
+/// Verdict of `case`'s expectation over one of its workspaces (the base
+/// file or a variant): `(correct, noise)`, noise being every finding on a
+/// `Silent` case. A one-file workspace is analyzed under the case's own
+/// name; the parts of a cross-file variant ([`variants::apply_ws`]) form
+/// one workspace labeled `{stem}/{file}`, so set-scoped rules see every
+/// part together.
+fn verdict(case: &Case, files: &[(String, String)], cfg: &Config) -> (bool, Vec<Finding>) {
+    let entries: Vec<(PathBuf, FileClass, String)> = match files {
+        [(_, src)] => vec![(PathBuf::from(&case.name), case.class, src.clone())],
+        _ => {
+            let stem = case.name.trim_end_matches(".rs");
+            files
+                .iter()
+                .map(|(fname, src)| {
+                    (PathBuf::from(format!("{stem}/{fname}")), case.class, src.clone())
+                })
+                .collect()
         }
-        for file in files {
-            let Some(rule) = crate::corpus::labeled_rule(&file) else {
-                return Err(format!("corpus file {} is not named <rule>_<n>.rs", file.display()));
-            };
-            let src = std::fs::read_to_string(&file)
-                .map_err(|e| format!("read {}: {e}", file.display()))?;
-            let fname = file.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string();
-            out.push(CaseInput { name: format!("{side}/{fname}"), rule, positive, src });
+    };
+    let mut findings = crate::analyze_set(entries, cfg).into_iter().flat_map(|(_, r)| r.findings);
+    match &case.expect {
+        Expect::Fires(rule) => (findings.any(|f| &f.rule == rule), Vec::new()),
+        Expect::Silent => {
+            let noise: Vec<Finding> = findings.collect();
+            (noise.is_empty(), noise)
         }
     }
-    Ok(out)
 }
 
-fn score_case(case: &CaseInput, opts: &Options, cfg: &Config) -> CaseOutcome {
-    let (base_ok, base_noise) = verdict(&case.name, &case.rule, case.positive, &case.src, cfg);
-    let case_seed = mix(opts.seed, fnv1a(&case.name));
+fn score_case(case: &Case, opts: &Options, cfg: &Config) -> CaseOutcome {
+    let (base_ok, _) = verdict(case, &[(String::new(), case.src.clone())], cfg);
     let mut groups: Vec<GroupOutcome> = Vec::new();
-    for t in plan(case_seed, opts) {
+    for t in plan(case_seed(case)) {
         let Some(files) = variants::apply_ws(&case.src, &t) else { continue };
         if let Some(dir) = &opts.emit_dir {
             let safe = t.label().replace(['[', ']'], "_");
@@ -547,70 +609,48 @@ fn score_case(case: &CaseInput, opts: &Options, cfg: &Config) -> CaseOutcome {
                 eprintln!("sgx-lint: emit {}: {e}", vdir.display());
             }
         }
-        let (ok, _) = verdict_ws(&case.name, &case.rule, case.positive, &files, cfg);
+        let (ok, noise) = verdict(case, &files, cfg);
+        let variant = VariantOutcome { label: t.label(), ok, noise };
         let kind = t.kind();
         match groups.last_mut() {
-            Some(g) if g.kind == kind => g.variants.push(VariantOutcome { label: t.label(), ok }),
-            _ => groups.push(GroupOutcome {
-                kind,
-                variants: vec![VariantOutcome { label: t.label(), ok }],
-            }),
+            Some(g) if g.kind == kind => g.variants.push(variant),
+            _ => groups.push(GroupOutcome { kind, variants: vec![variant] }),
         }
     }
     CaseOutcome {
         name: case.name.clone(),
-        rule: case.rule.clone(),
-        positive: case.positive,
+        expect: case.expect.clone(),
         base_ok,
-        base_noise,
         groups,
     }
 }
 
-/// Score the corpus at `dir` under `opts`. Deterministic for a fixed
-/// `(corpus, seed, depth, seqlen, weaken)` regardless of `jobs`.
-pub fn run(dir: &Path, opts: &Options) -> Result<Report, String> {
+/// Score `cases` under `opts`. Deterministic for fixed cases and `weaken`
+/// regardless of `jobs`.
+pub fn run(cases: &[Case], opts: &Options) -> Result<Report, String> {
     let cfg = weaken_config(&opts.weaken)?;
-    let inputs = load_cases(dir)?;
-    let jobs = opts.jobs.max(1).min(inputs.len().max(1));
-    let mut indexed: Vec<(usize, CaseOutcome)> = if jobs <= 1 {
-        inputs.iter().enumerate().map(|(i, case)| (i, score_case(case, opts, &cfg))).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..jobs {
-                let inputs = &inputs;
-                let cfg = &cfg;
-                let opts_ref = &*opts;
-                handles.push(scope.spawn(move || {
-                    let mut part = Vec::new();
-                    for (i, case) in inputs.iter().enumerate() {
-                        if i % jobs == w {
-                            part.push((i, score_case(case, opts_ref, cfg)));
-                        }
-                    }
-                    part
-                }));
+    let jobs = opts.jobs.clamp(1, cases.len().max(1));
+    let mut indexed: Vec<(usize, CaseOutcome)> = std::thread::scope(|scope| {
+        let stripe = |w: usize| -> Vec<(usize, CaseOutcome)> {
+            (w..cases.len()).step_by(jobs).map(|i| (i, score_case(&cases[i], opts, &cfg))).collect()
+        };
+        let handles: Vec<_> = (1..jobs).map(|w| scope.spawn(move || stripe(w))).collect();
+        let mut all = stripe(0);
+        for h in handles {
+            match h.join() {
+                Ok(part) => all.extend(part),
+                // Re-raise a worker panic on the caller's thread so the
+                // failure keeps its original message.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(part) => part,
-                    // Re-raise a worker panic on the caller's thread so
-                    // the failure keeps its original message.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
-    // Striped workers cover each index exactly once; re-sort into corpus
+        }
+        all
+    });
+    // Striped workers cover each index exactly once; re-sort into input
     // order so the report is independent of completion order.
     indexed.sort_by_key(|(i, _)| *i);
-    if indexed.len() != inputs.len() {
-        return Err(format!("internal: scored {} of {} cases", indexed.len(), inputs.len()));
-    }
     Ok(Report {
-        options: opts.clone(),
+        weaken: opts.weaken.clone(),
         cases: indexed.into_iter().map(|(_, o)| o).collect(),
     })
 }
@@ -619,18 +659,36 @@ pub fn run(dir: &Path, opts: &Options) -> Result<Report, String> {
 mod tests {
     use super::*;
 
-    fn corpus_dir() -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
+    fn corpus() -> Vec<Case> {
+        load_corpus(&Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")).expect("corpus loads")
+    }
+
+    #[test]
+    fn filename_labeling() {
+        assert_eq!(
+            labeled_rule(Path::new("corpus/positive/nondeterminism_2.rs")),
+            Some("nondeterminism".to_string())
+        );
+        assert_eq!(
+            labeled_rule(Path::new("counter-truncation_10.rs")),
+            Some("counter-truncation".to_string())
+        );
+        assert_eq!(labeled_rule(Path::new("not_a_rule.rs")), None);
+        assert_eq!(labeled_rule(Path::new("noindex.rs")), None);
     }
 
     #[test]
     fn rd_meets_the_floor_on_the_shipped_corpus() {
-        let report = run(&corpus_dir(), &Options::default()).expect("corpus scores");
+        let report = run(&corpus(), &Options::default()).expect("corpus scores");
+        // Token rules need ~3+3 cases each and semantic rules ~2+2 each.
         assert!(report.cases.len() >= 62, "corpus shrank: {}", report.cases.len());
         let rd = report.rd_percent();
         assert!(rd >= 95.0, "RD {rd} below floor; failures: {:?}", report.failures());
-        // Every rule keeps a clean base scorecard under robustness too.
+        // The base columns are the corpus score: every rule has a firing
+        // positive case, no positive misses and no negative makes noise.
+        assert!(report.base_misses().is_empty(), "base misses:\n{}", report.table());
         for (rule, row) in report.per_rule() {
+            assert!(row.tp >= 1, "rule `{rule}` has no firing positive corpus case");
             assert_eq!(row.fn_, 0, "{rule} has base misses");
             assert_eq!(row.fp, 0, "{rule} has base noise");
         }
@@ -649,8 +707,8 @@ mod tests {
             weaken: vec!["taint-indirection".into(), "taint-alias".into()],
             ..Options::default()
         };
-        let report = run(&corpus_dir(), &weak).expect("corpus scores");
-        let strong = run(&corpus_dir(), &Options::default()).expect("corpus scores");
+        let report = run(&corpus(), &weak).expect("corpus scores");
+        let strong = run(&corpus(), &Options::default()).expect("corpus scores");
         assert!(
             report.rd_percent() < strong.rd_percent(),
             "weakening changed nothing: {} vs {}",
@@ -670,17 +728,17 @@ mod tests {
 
     #[test]
     fn jobs_do_not_change_the_report() {
-        let serial = run(&corpus_dir(), &Options::default()).expect("serial");
+        let serial = run(&corpus(), &Options::default()).expect("serial");
         let parallel =
-            run(&corpus_dir(), &Options { jobs: 4, ..Options::default() }).expect("parallel");
+            run(&corpus(), &Options { jobs: 4, ..Options::default() }).expect("parallel");
         assert_eq!(serial.table(), parallel.table());
         assert_eq!(serial.json().pretty(), parallel.json().pretty());
     }
 
     #[test]
     fn report_renders_both_formats_deterministically() {
-        let a = run(&corpus_dir(), &Options::default()).expect("a");
-        let b = run(&corpus_dir(), &Options::default()).expect("b");
+        let a = run(&corpus(), &Options::default()).expect("a");
+        let b = run(&corpus(), &Options::default()).expect("b");
         assert_eq!(a.table(), b.table());
         assert_eq!(a.json().pretty(), b.json().pretty());
         assert!(a.table().contains("rename"));

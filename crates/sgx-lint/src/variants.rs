@@ -56,7 +56,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -66,7 +66,7 @@ impl Rng {
 
     /// Uniform-ish value in `0..n` (n must be > 0).
     pub fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.next_u64() % n as u64) as usize
     }
 }
 
@@ -83,7 +83,7 @@ pub fn fnv1a(s: &str) -> u64 {
 
 /// Mix a global seed with a per-case hash into one stream seed.
 pub fn mix(seed: u64, salt: u64) -> u64 {
-    Rng::new(seed ^ salt.rotate_left(17)).next()
+    Rng::new(seed ^ salt.rotate_left(17)).next_u64()
 }
 
 // ------------------------------------------------------------ transforms --
@@ -208,7 +208,7 @@ pub fn apply(src: &str, t: &Transform) -> Option<String> {
 /// `(file name, content)` pairs. Single-file transforms come back as a
 /// one-element workspace named `case.rs`; [`Transform::Xsplit`] produces
 /// two files. The verdict over a workspace is the union of findings
-/// across its files ([`crate::analyze_set_cfg`]).
+/// across its files ([`crate::analyze_set`]).
 pub fn apply_ws(src: &str, t: &Transform) -> Option<Vec<(String, String)>> {
     match t {
         Transform::Xsplit { seed } => xsplit(src, &mut Rng::new(*seed)),
@@ -857,8 +857,8 @@ fn noise(src: &str, rng: &mut Rng) -> Option<String> {
                 _ => {}
             }
         }
-        for l in (cur_line + 1)..depth_at.len() {
-            depth_at[l] = depth;
+        for d in depth_at.iter_mut().skip(cur_line + 1) {
+            *d = depth;
         }
     }
     // Lines interior to a multi-line token (raw strings): conservatively,
@@ -1220,9 +1220,10 @@ pub fn unrelated() -> u64 {
 ";
 
     fn lint_rules(src: &str) -> Vec<String> {
-        crate::analyze_single("case.rs", FileClass::OperatorLib, src)
-            .findings
+        let entry = (std::path::PathBuf::from("case.rs"), FileClass::OperatorLib, src.to_string());
+        crate::analyze_set(vec![entry], &Default::default())
             .into_iter()
+            .flat_map(|(_, r)| r.findings)
             .map(|f| f.rule)
             .collect()
     }

@@ -5,6 +5,8 @@
 //! * the shipped corpus clears the RD floor the CI gate enforces, and a
 //!   deliberately weakened rule set (`--weaken`) falls below it — the
 //!   negative check proving the gate can actually fail;
+//! * a wrong base verdict (a positive case that does not fire) fails the
+//!   run and is named on stderr, whatever the floor;
 //! * workspace baselines are rejected outright and never read
 //!   implicitly, so a stale waiver file cannot mask an RD regression.
 
@@ -64,6 +66,29 @@ fn shipped_corpus_clears_the_floor_and_weakening_fails_it() {
         stdout(&weak)
     );
     assert!(String::from_utf8_lossy(&weak.stderr).contains("below floor"));
+}
+
+#[test]
+fn a_base_miss_fails_the_run_and_is_named() {
+    // A positive case that does not fire its labeled rule, next to a
+    // negative case that stays silent.
+    let dir = std::env::temp_dir().join("sgx_lint_robustness_base_miss_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("positive")).unwrap();
+    std::fs::create_dir_all(dir.join("negative")).unwrap();
+    let safe = "pub fn double(v: u64) -> u64 {\n    v * 2\n}\n";
+    std::fs::write(dir.join("positive/unsafe-code_1.rs"), safe).unwrap();
+    std::fs::write(dir.join("negative/unsafe-code_1.rs"), safe).unwrap();
+
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_sgx-lint"));
+    let out = cmd.arg("robustness").arg("--corpus").arg(&dir).output().expect("spawn sgx-lint");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a base miss must fail the run; stderr: {stderr}");
+    assert!(stderr.contains("base"), "stderr must name the base verdict: {stderr}");
+    assert!(stderr.contains("positive/unsafe-code_1.rs"), "stderr must name the case: {stderr}");
+    assert!(!stderr.contains("negative/unsafe-code_1.rs"), "a correct case was named: {stderr}");
+    assert!(stdout(&out).contains("positive/unsafe-code_1.rs :: base"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -35,8 +35,8 @@ pub fn build_cycle(v: &mut SimVec<u64>, seed: u64) {
         let j = rng.random_range(0..i);
         perm.swap(i, j);
     }
-    for i in 0..n {
-        v.poke(i, perm[i]);
+    for (i, &next) in perm.iter().enumerate() {
+        v.poke(i, next);
     }
 }
 

@@ -89,7 +89,7 @@ mod tests {
         let mut c = ServiceCounters { submitted: 10, admitted: 7, rejected: 3, ..Default::default() };
         c.completed = 5;
         c.timed_out = 1; // one query vanished
-        let err = c.reconcile().map(|_| String::new()).map_err(|e| e);
+        let err = c.reconcile().map(|_| String::new());
         assert!(err.is_err());
         c.timed_out = 2;
         assert!(c.reconcile().is_ok());

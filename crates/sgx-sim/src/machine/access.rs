@@ -118,7 +118,7 @@ impl<'m> Core<'m> {
     /// `SimVec` stream APIs.
     ///
     /// Two equivalent resolution paths feed the one pooled charge (see
-    /// DESIGN.md §15): the fast path hoists the run's region
+    /// DESIGN.md §12): the fast path hoists the run's region
     /// classification and per-line cost constants out of the line loop,
     /// and is selected only when that hoist is provably invariant — no
     /// fault engine installed (an AEX can flush the TLB/L1, and the EPC

@@ -1,4 +1,4 @@
-//! Opt-in cycle-attribution profiler (DESIGN.md §11).
+//! Opt-in cycle-attribution profiler (DESIGN.md §10).
 //!
 //! The machine charges every cycle through the `Core::commit(Charge)`
 //! choke point; this module answers *where in a workload's lifetime*

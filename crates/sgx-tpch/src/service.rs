@@ -54,6 +54,9 @@ pub struct ServiceJob {
     done: Option<QueryStats>,
 }
 
+/// A finished query's `(count, grouped)` result.
+type QueryResult = (u64, Vec<(u32, u64)>);
+
 /// Explicit continuation of every plan: each variant holds exactly the
 /// intermediates the remaining operators need.
 enum State {
@@ -176,7 +179,9 @@ impl ServiceJob {
         })
     }
 
-    /// Run one operator and produce the continuation. Every arm is a
+    /// Run one operator and produce the continuation: the next state, the
+    /// operator label and its cycles, and on the final step the query
+    /// result as `(count, grouped)`. Every arm is a
     /// verbatim transplant of the corresponding block in
     /// [`crate::queries`], so stepped and monolithic execution charge the
     /// same cycles in the same order.
@@ -185,7 +190,7 @@ impl ServiceJob {
         machine: &mut Machine,
         db: &TpchDb,
         state: State,
-    ) -> (State, &'static str, f64, Option<(u64, Vec<(u32, u64)>)>) {
+    ) -> (State, &'static str, f64, Option<QueryResult>) {
         let cfg = &self.cfg;
         let cores = &cfg.cores;
         match state {

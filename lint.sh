@@ -4,18 +4,19 @@
 #   ./lint.sh                  # lint crates/ and tests/ against the baseline
 #   ./lint.sh --format json    # machine-readable deterministic report
 #   ./lint.sh crates/sgx-sim   # lint a subtree (no baseline)
-#   ./lint.sh --score-corpus crates/sgx-lint/corpus   # rule self-check
-#   ./lint.sh --robustness [flags]   # RD-score corpus + variants (floor 95)
+#   ./lint.sh --robustness [flags]   # score corpus + variants (RD floor 95)
+#   ./lint.sh selfcheck [flags]      # variant fuzz of pinned clean files
 #
-# Exit codes: 0 clean, 1 findings (or stale baseline entries, or RD below
-# the floor), 2 usage error.
+# Exit codes: 0 clean, 1 findings (or stale baseline entries, a wrong
+# corpus base verdict, RD below the floor, or a selfcheck false
+# positive), 2 usage error.
 set -eu
 cd "$(dirname "$0")"
 if [ "$#" -eq 0 ]; then
     set -- --baseline lint-baseline.json crates tests
 elif [ "$1" = "--robustness" ]; then
     # Robustness scoring never reads the workspace baseline; extra flags
-    # (--seed, --weaken, --format json, …) pass straight through.
+    # (--jobs, --weaken, --format json, …) pass straight through.
     shift
     set -- robustness --floor 95 "$@"
 fi

@@ -162,7 +162,7 @@ fn edmm_pages_count_post_seal_touches() {
 #[test]
 fn epc_page_faults_fire_beyond_residency() {
     let hw = tiny_hw().sgxv1();
-    let over_budget = (hw.paging.resident_bytes / 8) as usize * 2;
+    let over_budget = (hw.paging.resident_bytes / 8) * 2;
     let mut m = Machine::new(hw, Setting::SgxDataInEnclave);
     churn(&mut m, over_budget, 60_000);
     let c = m.counters();

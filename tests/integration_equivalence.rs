@@ -1,5 +1,5 @@
 //! Refactor-equivalence suite: proves the layered machine pipeline
-//! (DESIGN.md §10) and the parallel figure scheduler changed *nothing*
+//! (DESIGN.md §9) and the parallel figure scheduler changed *nothing*
 //! about the model.
 //!
 //! `tests/goldens/figure_digests.json` was recorded by
